@@ -8,6 +8,7 @@ itself.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Collection, Sequence
 
 from repro.dfg.convexity import is_convex
@@ -63,6 +64,14 @@ def result_problems(program, result) -> list[str]:
     """Problems of an ``ISEGenerationResult`` on *program*."""
     ises = [(ise.block_name, ise.cut.members) for ise in result.ises]
     return ise_problems(program, ises, result.constraints)
+
+
+def row_signature(row: dict) -> str:
+    """A service row without its wall-clock field, canonically encoded."""
+    return json.dumps(
+        {key: value for key, value in row.items() if key != "runtime_s"},
+        sort_keys=True,
+    )
 
 
 def row_problems(program, row: dict, constraints) -> list[str]:

@@ -1,15 +1,18 @@
 """Generation rounds: the workload's ISE-generation calls, each timed alone.
 
 A round calls every algorithm of the workload once, in a fixed order, on the
-same inputs; rounds repeat until the phase's share of ``--seconds`` is spent
-(at least one).  Speedups and the legality re-check run after each call,
+same inputs.  Rounds repeat while the next one is expected to end within the
+budget, and at least ``min_rounds`` run.  Each call's figure is its fastest
+round: the calls are deterministic, so the rounds repeat the same work and
+differ only by what the host did meanwhile — slow spells of a few seconds
+are common on a shared machine, and the fastest round is the one they
+touched least.  Speedups and the legality re-check run after each call,
 outside its timing, and every later round must emit exactly the first
 round's ISEs.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -24,10 +27,8 @@ from repro.baselines import (
 from repro.errors import BaselineInfeasibleError
 from repro.hwmodel import ISEConstraints
 from repro.reuse import reuse_aware_speedup
-from repro.service import run_workload_cell
-from repro.workloads import load_workload
 
-from .checks import result_problems, row_problems
+from .checks import result_problems
 from .inputs import genetic_seed
 
 
@@ -40,12 +41,10 @@ class Call:
     #: ``"isegen"`` or ``"baseline"``: the end-to-end total it adds to.
     group: str
     invoke: Callable[[], object]
-    #: ``output -> (speedup, problems, stats)``, run outside the timing.
-    assess: Callable[[object], tuple[float, list[str], dict]]
-    #: ``output -> value`` that every later round must reproduce.
-    signature: Callable[[object], object]
-    #: The service job this call computes in-process (``service`` only).
-    spec: dict | None = None
+    #: ``result -> speedup``, run outside the timing.
+    speedup: Callable[[object], float]
+    #: The program whose blocks the result's ISEs name.
+    program: object
 
 
 @dataclass
@@ -58,7 +57,6 @@ class CallRecord:
     refused: bool = False
     speedup: float | None = None
     stats: dict = field(default_factory=dict)
-    output: object = None
     signature: object = None
     #: One entry per failed call: it raised, emitted an illegal ISE, or
     #: did not reproduce the first round.
@@ -69,50 +67,38 @@ def result_signature(result) -> list:
     return [(ise.block_name, sorted(ise.cut.members)) for ise in result.ises]
 
 
-def row_signature(row: dict) -> str:
-    """A service row without its wall-clock field, canonically encoded."""
-    return json.dumps(
-        {key: value for key, value in row.items() if key != "runtime_s"},
-        sort_keys=True,
-    )
-
-
-def _result_assessor(program, reuse: bool):
-    def assess(result):
-        if reuse:
-            speedup = reuse_aware_speedup(program, result).reuse_speedup
-        else:
-            speedup = result.speedup
-        return speedup, result_problems(program, result), dict(result.stats)
-
-    return assess
-
-
 def aes_calls(program, seed: int, constraints: ISEConstraints) -> list[Call]:
     """``run_isegen`` (what ``repro run aes`` does) and the quick Genetic of
     the Figure-6 cell, with Figure 6's reuse-aware speedups."""
     config = GeneticConfig.quick(seed=genetic_seed(seed))
-    assess = _result_assessor(program, reuse=True)
+
+    def speedup(result):
+        return reuse_aware_speedup(program, result).reuse_speedup
+
     return [
         Call(
             "aes/ISEGEN", "ISEGEN", "isegen",
-            lambda: run_isegen(program, constraints), assess, result_signature,
+            lambda: run_isegen(program, constraints), speedup, program,
         ),
         Call(
             "aes/Genetic", "Genetic", "baseline",
             lambda: GeneticGenerator(constraints, config).generate(program),
-            assess, result_signature,
+            speedup, program,
         ),
     ]
 
 
 def paper_calls(programs, seed: int, constraints: ISEConstraints) -> list[Call]:
-    """Figure 4's four algorithms per program, with its single-use speedups;
-    Genetic runs its default configuration under the seeded Genetic seed."""
-    config = GeneticConfig(seed=genetic_seed(seed))
+    """Figure 4's four algorithms per program, with its single-use speedups.
+
+    Genetic runs the quick configuration of Figure 6 under the seeded
+    Genetic seed.  The default one takes 12-16 s over the seven programs on
+    a 2-vCPU host, too long for repeated rounds within ``--seconds``, and
+    its early stop moves its work by up to a quarter from seed to seed.
+    """
+    config = GeneticConfig.quick(seed=genetic_seed(seed))
     calls = []
     for program in programs:
-        assess = _result_assessor(program, reuse=False)
         runners = (
             ("Exact", "baseline", lambda p=program: run_exact(p, constraints)),
             ("Iterative", "baseline", lambda p=program: run_iterative(p, constraints)),
@@ -123,74 +109,66 @@ def paper_calls(programs, seed: int, constraints: ISEConstraints) -> list[Call]:
             ("ISEGEN", "isegen", lambda p=program: run_isegen(p, constraints)),
         )
         calls += [
-            Call(f"{program.name}/{algorithm}", algorithm, group, invoke, assess, result_signature)
+            Call(
+                f"{program.name}/{algorithm}", algorithm, group, invoke,
+                lambda result: result.speedup, program,
+            )
             for algorithm, group, invoke in runners
         ]
     return calls
 
 
-def reference_calls(specs: list[dict]) -> list[Call]:
-    """The service's cells run in-process: the reference its rows must equal."""
-    calls = []
-    for index, spec in enumerate(specs):
-        program = load_workload(spec["workload"])
-        constraints = ISEConstraints(**spec["constraints"])
+def run_rounds(
+    calls: list[Call],
+    budget: float,
+    min_rounds: int,
+    tracer,
+    after_call: Callable[[float], None],
+) -> tuple[list[CallRecord], int]:
+    """Repeat the round while the next one is expected to end within *budget*
+    seconds; *after_call* gets each call's seconds and runs outside them.
 
-        def assess(row, program=program, constraints=constraints):
-            return row["speedup"], row_problems(program, row, constraints), {}
-
-        calls.append(
-            Call(
-                f"job{index}/{spec['workload']}/{spec['algorithm']}",
-                spec["algorithm"],
-                "isegen" if spec["algorithm"] == "ISEGEN" else "baseline",
-                lambda spec=spec: run_workload_cell(
-                    spec["workload"], spec["algorithm"], spec["constraints"], {}
-                ),
-                assess,
-                row_signature,
-                spec,
-            )
-        )
-    return calls
-
-
-def run_rounds(calls: list[Call], budget: float, tracer) -> tuple[list[CallRecord], list[dict[str, float]]]:
-    """Repeat the round until *budget* seconds have passed.
-
-    Returns the per-call records and, per round, the wall seconds summed by
-    group (``{"isegen": ..., "baseline": ...}``).
+    Returns the per-call records and the number of rounds run.
     """
     records = [CallRecord(call) for call in calls]
-    rounds: list[dict[str, float]] = []
+    rounds = 0
     started = time.perf_counter()
-    while not rounds or time.perf_counter() - started < budget:
-        first = not rounds
-        totals = {"isegen": 0.0, "baseline": 0.0}
+    last = 0.0
+    while rounds < min_rounds or time.perf_counter() - started + last <= budget:
+        round_started = time.perf_counter()
         for record in records:
-            call = record.call
-            record.attempted += 1
-            refused = False
-            try:
-                with tracer.span(f"call.{call.algorithm}", op=f"round{len(rounds)}:{call.label}") as span:
-                    output = call.invoke()
-            except BaselineInfeasibleError:
-                refused = True
-            except Exception as error:  # noqa: BLE001 - a crashing call is one failed operation
-                record.failures.append(f"{call.label} raised {type(error).__name__}: {error}")
-                continue
-            totals[call.group] += span.seconds
-            record.seconds.append(span.seconds)
-            if first:
-                record.refused = refused
-                if not refused:
-                    record.speedup, problems, record.stats = call.assess(output)
-                    record.output, record.signature = output, call.signature(output)
-                    if problems:
-                        record.failures.append(f"{call.label}: {'; '.join(problems)}")
-            elif refused != record.refused or (
-                not refused and call.signature(output) != record.signature
-            ):
-                record.failures.append(f"{call.label}: round {len(rounds)} differs from round 0")
-        rounds.append(totals)
+            after_call(_run_call(record, rounds, tracer))
+        last = time.perf_counter() - round_started
+        rounds += 1
     return records, rounds
+
+
+def _run_call(record: CallRecord, round_index: int, tracer) -> float:
+    """One timed call, then its checks; returns its seconds (0 if it raised)."""
+    call = record.call
+    record.attempted += 1
+    refused = False
+    try:
+        with tracer.span(f"call.{call.algorithm}", op=f"round{round_index}:{call.label}") as span:
+            output = call.invoke()
+    except BaselineInfeasibleError:
+        refused = True
+    except Exception as error:  # noqa: BLE001 - a crashing call is one failed operation
+        record.failures.append(f"{call.label} raised {type(error).__name__}: {error}")
+        return 0.0
+    first = not record.seconds
+    record.seconds.append(span.seconds)
+    if first:
+        record.refused = refused
+        if not refused:
+            record.speedup = call.speedup(output)
+            record.stats = dict(output.stats)
+            record.signature = result_signature(output)
+            problems = result_problems(call.program, output)
+            if problems:
+                record.failures.append(f"{call.label}: {'; '.join(problems)}")
+    elif refused != record.refused or (
+        not refused and result_signature(output) != record.signature
+    ):
+        record.failures.append(f"{call.label}: round {round_index} differs from the first round")
+    return span.seconds

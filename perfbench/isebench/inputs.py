@@ -1,16 +1,18 @@
 """Seeded inputs of every workload.
 
-The seed drives three things and nothing else:
+The seed drives these inputs and nothing else:
 
 * the Genetic baseline's seed (seed 0 keeps the library default);
-* a topological renumbering of every block of ``aes`` and ``paper``: seed 0
-  keeps the registered node order that ``repro run`` sees, any other seed
-  lists the same graph's nodes in a random topological order — which moves
-  every index-ordered tie-break without changing the graph;
+* a topological renumbering of every block: seed 0 keeps the registered
+  node order that ``repro run`` sees, any other seed lists the same graph's
+  nodes in a random topological order — which moves every index-ordered
+  tie-break without changing the graph;
 * the draw of the service job mix.
 
-The program receives only the generated inputs: blocks reach it as
-``dfg_to_dict`` payloads that it rebuilds with ``dfg_from_dict``.
+``run.py`` also makes it the interpreter's hash seed, so set iteration
+order differs between seeds as well.  The program receives only the
+generated inputs: blocks reach it as ``dfg_to_dict`` payloads that it
+rebuilds with ``dfg_from_dict``.
 """
 
 from __future__ import annotations

@@ -1,20 +1,20 @@
-"""One benchmark run: set-up timing, the measured phases, checks, report.
+"""One benchmark run: set-up timing, the measured window, checks, report.
 
 Every run has the same shape, so every workload reports every end-to-end
 metric:
 
 1. set-up: ``setup_s``, timed in fresh child processes
    (:mod:`isebench.setup_timing`);
-2. generation rounds: the workload's ISE-generation calls, repeated on the
-   same inputs until their share of ``--seconds`` is spent
-   (:mod:`isebench.generation`);
-3. service phase: an in-process service and one closed-loop client
-   (:mod:`isebench.serving`);
-4. checks: every emitted ISE and every served row, re-checked outside the
+2. the measured window of ``--seconds``: an in-process service answers a
+   warm-up job and a fixed number of cold jobs (:mod:`isebench.serving`);
+   then the workload's generation rounds run (:mod:`isebench.generation`),
+   each call followed by a short burst of cached resubmissions, so that the
+   rounds and the cached samples both span the rest of the window;
+3. checks: every emitted ISE and every served row, re-checked outside the
    timed regions (:mod:`isebench.checks`); each mismatch is a failed
    operation.
 
-A traced run does 2-3 twice on the same inputs, untraced and then with
+A traced run does step 2 twice on the same inputs, untraced and then with
 spans and the per-layer probes (:mod:`isebench.probes`), and prints the
 per-layer metrics; the ratio of the two passes is ``trace_overhead``.
 """
@@ -26,6 +26,7 @@ import json
 import os
 import resource
 import shutil
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,55 +36,46 @@ from repro.service import ServiceClient, run_workload_cell
 from repro.workloads import AES_BENCHMARK, PAPER_BENCHMARKS, load_workload
 
 from . import generation, probes, serving, setup_timing
-from .inputs import JOB_ALGORITHMS, JOB_PROGRAMS, block_inputs, job_mix, program_from_inputs
+from .inputs import block_inputs, job_mix, program_from_inputs
 from .spans import SpanRecorder
 from .stats import geomean, median, ratio, tail
 
-
-@dataclass(frozen=True)
-class Workload:
-    #: Registered programs the set-up builds (``aes`` and ``paper`` run them).
-    programs: tuple[str, ...]
-    #: Renumber blocks with the seed.  The service computes registered
-    #: workloads by name, so its seeded input is the job mix alone.
-    renumber: bool
-    #: Share of the measured time given to the service phase.
-    service_share: float
-
-
-WORKLOADS = {
-    "aes": Workload((AES_BENCHMARK,), renumber=True, service_share=0.4),
-    "paper": Workload(PAPER_BENCHMARKS, renumber=True, service_share=0.4),
-    "service": Workload(JOB_PROGRAMS, renumber=False, service_share=0.9),
-}
+#: Registered programs of each workload.
+WORKLOADS = {"aes": (AES_BENCHMARK,), "paper": PAPER_BENCHMARKS}
 
 
 @dataclass(frozen=True)
 class Scale:
     setup_samples: int
-    min_cold_jobs: int
-    #: Job programs whose cells the ``service`` workload runs in-process.
-    reference_programs: int
+    #: Cold jobs per measured window.  Forty put the tail at p75, with ten
+    #: samples beyond it.
+    cold_jobs: int
+    #: Generation rounds every measured window runs, whatever its budget.
+    #: More run while the next one is expected to fit: at 48 s, three on
+    #: ``aes`` and four or five on ``paper`` on a 2-vCPU host, and two on
+    #: ``aes`` when the host is slow, so the run still ends near its budget.
+    min_rounds: int
     probe_reps: int
     scoring_samples: int
     #: Programs ``paper`` keeps (None: all seven).
     paper_programs: int | None
-    #: N_ISE of ``aes`` and ``paper``.
+    #: N_ISE of the generation calls.
     max_ises: int
 
 
 FULL = Scale(
-    setup_samples=7, min_cold_jobs=10, reference_programs=4, probe_reps=20,
+    setup_samples=7, cold_jobs=40, min_rounds=2, probe_reps=20,
     scoring_samples=300, paper_programs=None, max_ises=4,
 )
-#: ``--smoke``: every workload in a few seconds.
+#: ``--smoke``: every workload in well under a minute.
 SMOKE = Scale(
-    setup_samples=1, min_cold_jobs=2, reference_programs=2, probe_reps=3,
+    setup_samples=1, cold_jobs=2, min_rounds=1, probe_reps=3,
     scoring_samples=20, paper_programs=2, max_ises=1,
 )
 
-#: More distinct jobs than any cold phase reaches (about four per second).
-JOB_MIX_SIZE = 240
+#: Cached resubmissions after each generation call, as a share of the
+#: call's seconds (at least one job).
+CACHED_SHARE = 0.1
 
 END_TO_END = {
     "setup_s": "s",
@@ -113,8 +105,8 @@ ENUMERATION_COUNTS = ("states_visited", "nodes_expanded", "memo_hits", "bound_cu
 ROUTES = ("submit", "wait", "result")
 
 #: Quality: deterministic for a seed, but each seed is a different input
-#: (renumbering moves every index-ordered tie-break, the Genetic seed and the
-#: job mix change), so they spread across seeds by design and carry no bound.
+#: (renumbering moves every index-ordered tie-break, and the Genetic seed
+#: changes), so they spread across seeds by design and carry no bound.
 QUALITY = {"isegen_speedup": "x", "baseline_speedup": "x"}
 
 PER_LAYER = {
@@ -153,7 +145,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     )
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=20.0, help="measured time of the run")
+    parser.add_argument("--seconds", type=float, default=48.0, help="measured time of the run")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true", help="tiny sizes: the benchmark's own smoke test")
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
@@ -162,14 +154,10 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def program_names(name: str, scale: Scale) -> tuple[str, ...]:
-    names = WORKLOADS[name].programs
+    names = WORKLOADS[name]
     if name == "paper" and scale.paper_programs is not None:
         names = names[: scale.paper_programs]
     return names
-
-
-def block_seed(name: str, seed: int) -> int:
-    return seed if WORKLOADS[name].renumber else 0
 
 
 @dataclass
@@ -183,39 +171,24 @@ class Inputs:
 def build_inputs(name: str, seed: int, scale: Scale) -> Inputs:
     """This process's own set-up (untimed: ``setup_s`` is measured apart)."""
     programs = [
-        program_from_inputs(program, block_inputs(load_workload(program), block_seed(name, seed)))
+        program_from_inputs(program, block_inputs(load_workload(program), seed))
         for program in program_names(name, scale)
     ]
     for program in programs:
         for block in program:
             block.dfg.bitset_index()
     constraints = ISEConstraints(max_inputs=4, max_outputs=2, max_ises=scale.max_ises)
-    mix = job_mix(seed, JOB_MIX_SIZE)
     if name == "aes":
         calls = generation.aes_calls(programs[0], seed, constraints)
-    elif name == "paper":
-        calls = generation.paper_calls(programs, seed, constraints)
     else:
-        calls = generation.reference_calls(reference_jobs(scale))
-    return Inputs(programs, constraints, mix, calls)
-
-
-def reference_jobs(scale: Scale) -> list[dict]:
-    """The cells the ``service`` workload runs in-process each round: every
-    job program under each job algorithm at (4,2) x N_ISE.  Fixed, so that
-    the round's work does not depend on the seed's draw of the job mix."""
-    constraints = {"max_inputs": 4, "max_outputs": 2, "max_ises": scale.max_ises}
-    return [
-        {"workload": program, "algorithm": algorithm, "constraints": constraints}
-        for program in JOB_PROGRAMS[: scale.reference_programs]
-        for algorithm in JOB_ALGORITHMS
-    ]
+        calls = generation.paper_calls(programs, seed, constraints)
+    return Inputs(programs, constraints, job_mix(seed, scale.cold_jobs), calls)
 
 
 @dataclass
 class Measurement:
     records: list[generation.CallRecord]
-    rounds: list[dict[str, float]]
+    rounds: int
     phase: serving.ServicePhase
     snapshot: dict
     failures: list[str]
@@ -227,29 +200,33 @@ class Measurement:
     def attempted(self) -> int:
         return (
             sum(record.attempted for record in self.records)
-            + len(self.phase.cold)
-            + len(self.phase.cached)
-            + len(self.phase.errors)
+            + self.phase.attempted
             + self.refusals
         )
 
 
-def measure(name, inputs, budget, scale, seed, tracer, work, with_probes) -> Measurement:
-    service_budget = budget * WORKLOADS[name].service_share
-    records, rounds = generation.run_rounds(inputs.calls, budget - service_budget, tracer)
+def measure(inputs, budget, scale, seed, tracer, work, min_rounds, with_probes) -> Measurement:
+    started = time.perf_counter()
     service = serving.start_service(work)
     try:
         client = ServiceClient(service.endpoint, client_id=serving.CLIENT_ID)
-        phase = serving.run_phase(client, inputs.mix, service_budget, scale.min_cold_jobs, tracer)
+        phase = serving.run_cold(client, inputs.mix, scale.cold_jobs, tracer)
+        records, rounds = generation.run_rounds(
+            inputs.calls,
+            budget - (time.perf_counter() - started),
+            min_rounds,
+            tracer,
+            lambda seconds: serving.run_cached(client, phase, CACHED_SHARE * seconds, tracer),
+        )
+        # Every cold spec is resubmitted at least once.
+        serving.run_cached(
+            client, phase, 0.0, tracer, jobs=len(phase.cold) - phase.resubmitted
+        )
         snapshot = client.metrics()["metrics"]
     finally:
         service.stop()
 
-    known = {
-        json.dumps(record.call.spec, sort_keys=True): record.output
-        for record in records
-        if record.call.spec is not None and record.output is not None
-    }
+    known: dict[str, dict] = {}
 
     def reference(spec: dict) -> dict:
         key = json.dumps(spec, sort_keys=True)
@@ -287,10 +264,23 @@ def measure(name, inputs, budget, scale, seed, tracer, work, with_probes) -> Mea
         ):
             try:
                 measurement.layer.update(run_probe())
-            except probes.ENTRY_POINT_ERRORS as error:
+            except probes.EntryPointGone as error:
                 for metric in metrics:
-                    measurement.missing[metric] = f"probe entry point gone ({type(error).__name__}: {error})"
+                    measurement.missing[metric] = f"probe entry point gone ({error})"
     return measurement
+
+
+def fastest_total(records, algorithms: tuple[str, ...] | None = None, group: str | None = None):
+    """Sum over the chosen calls of each call's fastest round, and how many
+    calls that covers (``None`` when no chosen call completed)."""
+    fastest = [
+        min(record.seconds)
+        for record in records
+        if record.seconds
+        and (algorithms is None or record.call.algorithm in algorithms)
+        and (group is None or record.call.group == group)
+    ]
+    return (sum(fastest) if fastest else None), len(fastest)
 
 
 def end_to_end(setup_samples: list[dict], m: Measurement) -> tuple[dict, dict]:
@@ -299,9 +289,8 @@ def end_to_end(setup_samples: list[dict], m: Measurement) -> tuple[dict, dict]:
     values["setup_s"] = median(totals)
     notes["setup_s"] = f"median of {len(totals)} set-up(s), each in a fresh process"
     for group in ("isegen", "baseline"):
-        per_round = [totals_[group] for totals_ in m.rounds]
-        values[f"{group}_s"] = median(per_round)
-        notes[f"{group}_s"] = f"median of {len(per_round)} round(s)"
+        values[f"{group}_s"], calls = fastest_total(m.records, group=group)
+        notes[f"{group}_s"] = f"sum over {calls} call(s) of each one's fastest of {m.rounds} round(s)"
         speedups = [
             record.speedup
             for record in m.records
@@ -313,11 +302,15 @@ def end_to_end(setup_samples: list[dict], m: Measurement) -> tuple[dict, dict]:
         latencies = [job.seconds * 1e3 for job in getattr(m.phase, kind)]
         values[f"{kind}_job_p50_ms"] = median(latencies)
         notes[f"{kind}_job_p50_ms"] = f"{len(latencies)} jobs"
-        percentile, value = tail(latencies)
-        values[f"{kind}_job_tail_ms"] = value
-        notes[f"{kind}_job_tail_ms"] = f"p{percentile:.1f} of {len(latencies)} jobs"
+        percentile, values[f"{kind}_job_tail_ms"] = tail(latencies) or (None, None)
+        if percentile is not None:
+            notes[f"{kind}_job_tail_ms"] = f"p{percentile:.1f} of {len(latencies)} jobs"
     values["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return values, notes
+    return present(values), notes
+
+
+def present(values: dict) -> dict:
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _summed_stats(records, algorithms: tuple[str, ...]) -> dict[str, int]:
@@ -330,18 +323,14 @@ def _summed_stats(records, algorithms: tuple[str, ...]) -> dict[str, int]:
     return summed
 
 
-def _wall_s(records, algorithms: tuple[str, ...]) -> float:
-    """Median over rounds of the seconds spent in *algorithms*."""
-    chosen = [record.seconds for record in records if record.call.algorithm in algorithms]
-    if not chosen:
-        return 0.0
-    return median([sum(column) for column in zip(*chosen)])
+def _ms(seconds: float | None) -> float | None:
+    return None if seconds is None else seconds * 1e3
 
 
 def per_layer(untraced: Measurement, traced: Measurement, tracer: SpanRecorder) -> tuple[dict, dict]:
     values, missing = {}, dict(traced.missing)
     quality, _ = end_to_end([], traced)
-    values.update({name: quality[name] for name in QUALITY})
+    values.update({name: quality.get(name) for name in QUALITY})
     for phase, metric in SETUP_METRICS.items():
         values[metric] = median(tracer.seconds(phase))
 
@@ -355,7 +344,7 @@ def per_layer(untraced: Measurement, traced: Measurement, tracer: SpanRecorder) 
 
     genetic = _summed_stats(traced.records, ("Genetic",))
     evals = genetic.get("fitness_evaluations", 0)
-    values["genetic.wall_s"] = _wall_s(traced.records, ("Genetic",))
+    values["genetic.wall_s"], _ = fastest_total(traced.records, ("Genetic",))
     values["genetic.fitness_evals"] = evals
     values["genetic.memo_hits"] = genetic.get("memo_hits", 0)
     values["genetic.duplicates_skipped"] = genetic.get("duplicates_skipped", 0)
@@ -364,12 +353,16 @@ def per_layer(untraced: Measurement, traced: Measurement, tracer: SpanRecorder) 
     )
 
     enumeration = _summed_stats(traced.records, ("Exact", "Iterative"))
-    values["enumeration.wall_s"] = _wall_s(traced.records, ("Exact", "Iterative"))
     for name in ENUMERATION_COUNTS:
         values[f"enumeration.{name}"] = enumeration.get(name, 0)
-    values["enumeration.states_per_s"] = ratio(
-        values["enumeration.states_visited"], values["enumeration.wall_s"]
-    )
+    if any(record.call.algorithm in ("Exact", "Iterative") for record in traced.records):
+        values["enumeration.wall_s"], _ = fastest_total(traced.records, ("Exact", "Iterative"))
+        values["enumeration.states_per_s"] = ratio(
+            values["enumeration.states_visited"], values["enumeration.wall_s"]
+        )
+    else:
+        # The workload runs no enumeration (aes): none of its time goes there.
+        values["enumeration.wall_s"] = values["enumeration.states_per_s"] = 0.0
 
     values.update(traced.layer)
     if "genetic.score_us" in values:
@@ -377,20 +370,22 @@ def per_layer(untraced: Measurement, traced: Measurement, tracer: SpanRecorder) 
             evals * values["genetic.score_us"] * 1e-6, values["genetic.wall_s"]
         )
     else:
-        missing["genetic.fitness_share"] = missing["genetic.score_us"]
+        missing["genetic.fitness_share"] = missing.get("genetic.score_us", "")
 
     for kind, prefix in (("cold", "service."), ("cached", "service.cached_")):
         for route in ROUTES:
-            values[f"{prefix}{route}_ms"] = median(tracer.seconds(f"client.{route}", kind=kind)) * 1e3
+            values[f"{prefix}{route}_ms"] = _ms(median(tracer.seconds(f"client.{route}", kind=kind)))
     for route in ROUTES:
         handler = traced.snapshot.get(f"http.{route}.seconds", {})
-        values[f"service.handler_{route}_ms"] = handler.get("p50", 0.0) * 1e3
-    if "sweep.cell_ms" in values:
-        cold_p50 = median([job.seconds for job in traced.phase.cold]) * 1e3
-        values["service.cold_slack_ms"] = cold_p50 - (
-            values["service.submit_ms"] + values["service.result_ms"] + values["sweep.cell_ms"]
-        )
-    else:
+        values[f"service.handler_{route}_ms"] = _ms(handler.get("p50"))
+    parts = [
+        values.get(name)
+        for name in ("service.submit_ms", "service.result_ms", "sweep.cell_ms")
+    ]
+    cold_p50 = _ms(median([job.seconds for job in traced.phase.cold]))
+    if cold_p50 is not None and None not in parts:
+        values["service.cold_slack_ms"] = cold_p50 - sum(parts)
+    elif "sweep.cell_ms" in missing:
         missing["service.cold_slack_ms"] = missing["sweep.cell_ms"]
     values["service.refusals"] = untraced.refusals + traced.refusals
 
@@ -398,10 +393,11 @@ def per_layer(untraced: Measurement, traced: Measurement, tracer: SpanRecorder) 
     base, _ = end_to_end([], untraced)
     spanned, _ = end_to_end([], traced)
     timings = ("isegen_s", "baseline_s", "cold_job_p50_ms", "cached_job_p50_ms")
-    values["trace_overhead"] = geomean(
-        [spanned[name] / base[name] for name in timings if base[name] and spanned[name]]
-    ) - 1
-    return values, missing
+    overhead = geomean(
+        [spanned[name] / base[name] for name in timings if base.get(name) and spanned.get(name)]
+    )
+    values["trace_overhead"] = None if overhead is None else overhead - 1
+    return present(values), missing
 
 
 def report(units: dict, values: dict, notes: dict, missing: dict, attempted: int, failures: list[str], refusals: int) -> None:
@@ -410,10 +406,10 @@ def report(units: dict, values: dict, notes: dict, missing: dict, attempted: int
         if name in values:
             line = f"{name:<28} {values[name]:>14.6g} {unit:<6} {notes.get(name, '')}"
         else:
-            line = f"{name:<28} {'missing':>14} {unit:<6} {missing.get(name, '')}"
+            line = f"{name:<28} {'missing':>14} {unit:<6} {missing.get(name, 'no samples')}"
         print(line.rstrip())
     failed = len(failures) + refusals
-    print(f"attempted {attempted}  failed {failed}  failed_share {ratio(failed, attempted):.4f}")
+    print(f"attempted {attempted}  failed {failed}  failed_share {failed / attempted:.4f}")
     for failure in failures[:20]:
         print(f"failure: {failure}")
     if refusals:
@@ -431,9 +427,7 @@ def run(argv: list[str], root: str) -> int:
     scale = SMOKE if args.smoke else FULL
     root = Path(root)
     if args.setup_probe:
-        timing = setup_timing.probe(
-            program_names(args.workload, scale), block_seed(args.workload, args.seed), args.work
-        )
+        timing = setup_timing.probe(program_names(args.workload, scale), args.seed, args.work)
         print(json.dumps(timing))
         return 0
     work = root / ".perfbench" / f"run-{os.getpid()}"
@@ -462,19 +456,20 @@ def _run(args: argparse.Namespace, scale: Scale, root: Path, work: Path) -> None
     inputs = build_inputs(args.workload, args.seed, scale)
     if not args.trace:
         m = measure(
-            args.workload, inputs, args.seconds, scale, args.seed,
-            SpanRecorder(enabled=False), work / "measure", with_probes=False,
+            inputs, args.seconds, scale, args.seed, SpanRecorder(enabled=False),
+            work / "measure", scale.min_rounds, with_probes=False,
         )
         values, notes = end_to_end(setup_samples, m)
         report(END_TO_END, values, notes, {}, m.attempted, m.failures, m.refusals)
         return
+    # Each pass gets half the window, so one round is all it can promise.
     untraced = measure(
-        args.workload, inputs, args.seconds / 2, scale, args.seed,
-        SpanRecorder(enabled=False), work / "untraced", with_probes=False,
+        inputs, args.seconds / 2, scale, args.seed, SpanRecorder(enabled=False),
+        work / "untraced", 1, with_probes=False,
     )
     traced = measure(
-        args.workload, inputs, args.seconds / 2, scale, args.seed,
-        tracer, work / "traced", with_probes=True,
+        inputs, args.seconds / 2, scale, args.seed, tracer,
+        work / "traced", 1, with_probes=True,
     )
     values, missing = per_layer(untraced, traced, tracer)
     path = root / ".perfbench" / f"trace-{args.workload}-seed{args.seed}.jsonl"

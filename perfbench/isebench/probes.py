@@ -1,19 +1,18 @@
 """Per-layer probes: traced runs only, never inside a timed region.
 
-Each probe isolates one layer's cost through a public entry point.  The
-entry points are imported inside the probes, so when a refactor removes
-one, that probe's metrics are reported as missing and the run goes on.
+Each probe isolates one layer's cost through a public entry point.  A probe
+looks its entry points up first; when a refactor has removed one, the lookup
+raises :class:`EntryPointGone`, that probe's metrics are reported as missing
+and the run goes on.  Any other error is a bug and fails the run.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import random
 
 from .stats import median
-
-#: What a removed or reshaped entry point raises.
-ENTRY_POINT_ERRORS = (ImportError, AttributeError, TypeError)
 
 CORE_METRICS = ("core.bipartition_s", "core.state_toggle_us", "core.state_share")
 SCORING_METRICS = ("genetic.score_us",)
@@ -26,12 +25,35 @@ SWEEP_METRICS = (
 )
 
 
+class EntryPointGone(Exception):
+    """A probe's entry point no longer exists."""
+
+
+def lookup(module: str, *names: str) -> tuple:
+    """``module.name`` for each of *names*."""
+    try:
+        imported = importlib.import_module(module)
+        return tuple(getattr(imported, name) for name in names)
+    except (ImportError, AttributeError) as error:
+        raise EntryPointGone(f"{module}: {error}") from None
+
+
+def require(owner, *methods: str) -> None:
+    """*owner* (a class or an instance) still has each of *methods*."""
+    missing = [name for name in methods if not hasattr(owner, name)]
+    if missing:
+        raise EntryPointGone(f"{getattr(owner, '__name__', type(owner).__name__)} has no {', '.join(missing)}")
+
+
 def core(programs, constraints, tracer) -> dict[str, float]:
     """``bipartition`` of each program's largest block with the full node
     pool, then the committed toggles of its working cut replayed on a fresh
     ``PartitionState`` — the commit phase, apart from the gain sweep."""
-    from repro.core import ISEGenConfig, PartitionState, bipartition
-    from repro.dfg import resolve_kernel
+    ISEGenConfig, PartitionState, bipartition = lookup(
+        "repro.core", "ISEGenConfig", "PartitionState", "bipartition"
+    )
+    (resolve_kernel,) = lookup("repro.dfg", "resolve_kernel")
+    require(PartitionState, "toggle")
 
     config = ISEGenConfig()
     kernel = resolve_kernel(config.kernel)
@@ -52,11 +74,11 @@ def core(programs, constraints, tracer) -> dict[str, float]:
                 state.toggle(node)
         replay_s += span.seconds
         toggles += len(order)
-    return {
-        "core.bipartition_s": bipartition_s,
-        "core.state_toggle_us": replay_s / toggles * 1e6 if toggles else 0.0,
-        "core.state_share": replay_s / bipartition_s if bipartition_s else 0.0,
-    }
+    metrics = {"core.bipartition_s": bipartition_s}
+    if toggles:
+        metrics["core.state_toggle_us"] = replay_s / toggles * 1e6
+        metrics["core.state_share"] = replay_s / bipartition_s
+    return metrics
 
 
 def genetic_scoring(program, constraints, seed: int, samples: int, tracer) -> dict[str, float]:
@@ -64,7 +86,8 @@ def genetic_scoring(program, constraints, seed: int, samples: int, tracer) -> di
     ``io_violation`` + ``convexity_violation_count`` on a fresh
     ``BitsetCutEvaluator`` — over a seeded sample of distinct masks of the
     program's largest block, drawn like the GA's random chromosomes."""
-    from repro.core import BitsetCutEvaluator
+    (BitsetCutEvaluator,) = lookup("repro.core", "BitsetCutEvaluator")
+    require(BitsetCutEvaluator, "merit", "io_violation", "convexity_violation_count")
 
     dfg = program.largest_block.dfg
     candidates = [
@@ -82,6 +105,8 @@ def genetic_scoring(program, constraints, seed: int, samples: int, tracer) -> di
                 mask |= 1 << index
         if mask:
             masks[mask] = None
+    if not masks:
+        return {}
     evaluator = BitsetCutEvaluator(dfg, constraints)
     with tracer.span("genetic.scoring", op="probe", samples=len(masks)) as span:
         for mask in masks:
@@ -95,21 +120,26 @@ def sweep(directory, keys: list[str], reps: int, tracer) -> dict[str, float]:
     """The store's probe and lookup of one job's key, the queue's three
     listings, and one enqueue -> claim -> complete cycle — all through
     ``SweepDirectory.store``/``.queue``, after the embedded worker stopped."""
-    from repro.parallel import job
-    from repro.service import run_workload_cell
-    from repro.sweep import CellTask
+    (job,) = lookup("repro.parallel", "job")
+    (run_workload_cell,) = lookup("repro.service", "run_workload_cell")
+    (CellTask,) = lookup("repro.sweep", "CellTask")
+    require(directory, "store", "queue")
+    store, queue = directory.store, directory.queue
+    require(store, "contains_many", "lookup_many", "record")
+    require(
+        queue, "failed_keys", "pending_keys", "claimed_keys", "enqueue", "claim_batch", "complete"
+    )
 
     from .inputs import WARMUP_JOB
 
-    store, queue = directory.store, directory.queue
-    probe, lookup, listing, cycle = [], [], [], []
+    probe, lookups, listing, cycle = [], [], [], []
     for key in keys:
         with tracer.span("sweep.store_probe", op=key) as span:
             store.contains_many([key])
         probe.append(span.seconds)
         with tracer.span("sweep.store_lookup", op=key) as span:
             store.lookup_many([key])
-        lookup.append(span.seconds)
+        lookups.append(span.seconds)
     for index in range(reps):
         with tracer.span("sweep.queue_listing", op=f"probe{index}") as span:
             queue.failed_keys()
@@ -131,18 +161,18 @@ def sweep(directory, keys: list[str], reps: int, tracer) -> dict[str, float]:
                 queue.complete(task)
         cycle.append(span.seconds)
     runtimes = [store.record(key)["meta"]["runtime_s"] for key in keys]
-    return {
-        "sweep.store_probe_ms": median(probe) * 1e3,
-        "sweep.store_lookup_ms": median(lookup) * 1e3,
-        "sweep.queue_listing_ms": median(listing) * 1e3,
-        "sweep.queue_cycle_ms": median(cycle) * 1e3,
-        "sweep.cell_ms": median(runtimes) * 1e3,
+    summaries = {
+        "sweep.store_probe_ms": median(probe),
+        "sweep.store_lookup_ms": median(lookups),
+        "sweep.queue_listing_ms": median(listing),
+        "sweep.queue_cycle_ms": median(cycle),
+        "sweep.cell_ms": median(runtimes),
     }
+    return {name: value * 1e3 for name, value in summaries.items() if value is not None}
 
 
 def job_keys(service, specs: list[dict]) -> list[str]:
     """The store keys the service gave *specs* (one cell each)."""
-    from repro.service import build_cells, validate_job
-    from repro.sweep import cell_key
-
+    build_cells, validate_job = lookup("repro.service", "build_cells", "validate_job")
+    (cell_key,) = lookup("repro.sweep", "cell_key")
     return [cell_key(build_cells(validate_job(spec))[0], service.jobs.salt) for spec in specs]

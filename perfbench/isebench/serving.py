@@ -6,10 +6,13 @@ sends the next:
 
 1. one warm-up job, discarded — its claim also resets the worker's idle
    backoff;
-2. cold jobs: distinct single-cell ``workload`` specs from the seeded mix,
-   each a store miss — the store's write path (enqueue, claim, put);
+2. cold jobs, back to back: distinct single-cell ``workload`` specs from the
+   seeded mix, each a store miss — the store's write path (enqueue, claim,
+   put).  ``ServiceClient.wait`` polls every 0.25 s by default, and a cell
+   finishes well inside one tick, so a cold job takes about one tick;
 3. cached jobs: resubmissions of the cold specs, answered from the store —
-   its read path (probe, lookup).
+   its read path (probe, lookup).  They come in short bursts between the
+   generation calls, so that their samples span the whole run.
 """
 
 from __future__ import annotations
@@ -25,16 +28,13 @@ from repro.service import IseService, ServiceConfig
 from repro.sweep import SweepDirectory
 from repro.workloads import load_workload
 
-from .checks import row_problems
-from .generation import row_signature
+from .checks import row_problems, row_signature
 from .inputs import WARMUP_JOB
 
 #: Per-client request quota (rate and burst), a deployment setting: far
 #: above any closed-loop rate, so the token bucket never shapes the numbers.
 QUOTA = 1e6
 CLIENT_ID = "perfbench"
-#: Share of the service phase spent on cold jobs; the rest is cached jobs.
-COLD_SHARE = 0.35
 
 
 def start_service(root: Path) -> IseService:
@@ -60,6 +60,10 @@ class ServicePhase:
     cached: list[Job] = field(default_factory=list)
     #: Jobs that raised: the client gave up retrying, or a 4xx.
     errors: list[str] = field(default_factory=list)
+    #: Jobs sent, the warm-up included, whether or not they raised.
+    attempted: int = 0
+    #: Resubmissions sent; the next one resubmits ``cold[resubmitted % len(cold)]``.
+    resubmitted: int = 0
 
 
 def run_job(client, spec: dict, kind: str, tracer, op: str) -> Job:
@@ -83,36 +87,41 @@ def run_job(client, spec: dict, kind: str, tracer, op: str) -> Job:
     return job
 
 
-def run_phase(client, mix: list[dict], budget: float, min_cold: int, tracer) -> ServicePhase:
-    """Warm-up, then cold jobs for :data:`COLD_SHARE` of *budget* (at least
-    *min_cold*), then cached resubmissions — every cold spec at least once —
-    until *budget* is spent."""
-    phase = ServicePhase()
+def run_cold(client, mix: list[dict], count: int, tracer) -> ServicePhase:
+    """The warm-up job, then the first *count* specs of *mix* as cold jobs."""
+    phase = ServicePhase(attempted=1)
     try:
         run_job(client, WARMUP_JOB, "warmup", tracer, "warmup")
     except ReproError as error:
         phase.errors.append(f"warm-up job: {error}")
-    started = time.perf_counter()
-    for index, spec in enumerate(mix):
-        if len(phase.cold) >= min_cold and time.perf_counter() - started >= budget * COLD_SHARE:
-            break
+    for index, spec in enumerate(mix[:count]):
+        phase.attempted += 1
         try:
             phase.cold.append(run_job(client, spec, "cold", tracer, f"cold{index}"))
         except ReproError as error:
             phase.errors.append(f"cold job {spec}: {error}")
-    index = 0
-    while phase.cold and (index < len(phase.cold) or time.perf_counter() - started < budget):
-        cold = phase.cold[index % len(phase.cold)]
+    return phase
+
+
+def run_cached(client, phase: ServicePhase, seconds: float, tracer, jobs: int = 1) -> None:
+    """Resubmit the cold specs in turn: at least *jobs* jobs, and for at
+    least *seconds*."""
+    started = time.perf_counter()
+    sent = 0
+    while phase.cold and (sent < jobs or time.perf_counter() - started < seconds):
+        cold = phase.cold[phase.resubmitted % len(phase.cold)]
+        op = f"cached{phase.resubmitted}"
+        phase.resubmitted += 1
+        phase.attempted += 1
+        sent += 1
         try:
-            job = run_job(client, cold.spec, "cached", tracer, f"cached{index}")
+            job = run_job(client, cold.spec, "cached", tracer, op)
         except ReproError as error:
             phase.errors.append(f"cached job {cold.spec}: {error}")
-        else:
-            if job.problem is None and job.rows != cold.rows:
-                job.problem = "cached rows differ from the cold job's rows"
-            phase.cached.append(job)
-        index += 1
-    return phase
+            continue
+        if job.problem is None and job.rows != cold.rows:
+            job.problem = "cached rows differ from the cold job's rows"
+        phase.cached.append(job)
 
 
 def row_mismatches(jobs: list[Job], reference: Callable[[dict], dict]) -> list[str]:

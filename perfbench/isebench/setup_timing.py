@@ -9,7 +9,8 @@ module loading is counted — clears the workload memo, then times:
 * ``dfg.kernel_resolve``: the first ``resolve_kernel("auto")``, numpy's
   lazy import;
 * ``dfg.index_build``: ``bitset_index()`` of every block;
-* ``service.start``: ``IseService.start()`` until ``/v1/health`` answers.
+* ``service.start``: ``IseService.start()`` until ``/v1/health`` answers
+  (every workload runs the service phase).
 
 The renumbering between the first two phases is the benchmark generating
 its inputs, so it is not timed.  ``setup_s`` is the median total over the

@@ -2,19 +2,19 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload aes --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload aes --seed 0 --seconds 48 --trace 0
 
 Workloads (``BENCHMARK.json`` records why each exists):
 
 * ``aes``: ISEGEN and the quick Genetic baseline on the AES program;
 * ``paper``: Exact, Iterative, Genetic and ISEGEN on the seven Figure-4
-  programs;
-* ``service``: an in-process ``IseService`` driven by one closed-loop
-  client, cold single-cell jobs then cached resubmissions.
+  programs.
 
-Every workload reports every end-to-end metric: the algorithm metrics come
-from its in-process generation rounds, the job latencies from a service
-phase that ends each run (on ``service`` it is nearly the whole run).
+Both run the same service phase: an in-process ``IseService`` driven by one
+closed-loop client, cold single-cell jobs first, then cached resubmissions
+between the generation calls.  So every workload reports every end-to-end
+metric: the algorithm metrics come from its in-process generation rounds,
+the job latencies from the service phase.
 ``--trace 1`` runs the same workload and seed untraced and then traced,
 adds the per-layer probes, prints the per-layer metrics instead, and writes
 its spans to ``.perfbench/trace-<workload>-seed<seed>.jsonl``.  ``--smoke``
@@ -27,6 +27,7 @@ are the human-readable report.
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 
@@ -40,6 +41,12 @@ MEASUREMENT_ENV = (
 )
 
 
+def seed_argument(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--seed", type=int, default=0)
+    return parser.parse_known_args(argv)[0].seed
+
+
 def main() -> int:
     root = os.getcwd()
     source = os.path.join(root, "src")
@@ -50,10 +57,12 @@ def main() -> int:
         os.environ.pop(name, None)
     # String hashing is salted per process, and set iteration order with it:
     # the algorithms' answers do not depend on that order, but how much work
-    # they do on the way does (up to 1.7x on the service's cells).  Fix the
-    # salt so that two runs of one seed do the same work.
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        os.environ["PYTHONHASHSEED"] = "0"
+    # they do on the way can.  Derive the salt from the seed, so that two
+    # runs of one seed do the same work and a held-out seed also sees a
+    # different order.
+    salt = str(seed_argument(sys.argv[1:]) % 2**32)
+    if os.environ.get("PYTHONHASHSEED") != salt:
+        os.environ["PYTHONHASHSEED"] = salt
         os.execv(sys.executable, [sys.executable, *sys.argv])
     # Every measured loop is sequential (one call at a time; one closed-loop
     # client whose requests the service's threads answer in turn), so one CPU
