@@ -3,9 +3,9 @@
 A round calls every algorithm of the workload once, in a fixed order, on the
 same inputs.  Rounds repeat while the next one is expected to end within the
 budget, and at least ``min_rounds`` run.  Each call's figure is its fastest
-round: the calls are deterministic, so the rounds repeat the same work and
-differ only by what the host did meanwhile — slow spells of a few seconds
-are common on a shared machine, and the fastest round is the one they
+round in reference seconds (:mod:`isebench.hostspeed`): the calls are
+deterministic, so the rounds repeat the same work and differ only by what
+the host did meanwhile, and the fastest round is the one that stalls
 touched least.  Speedups and the legality re-check run after each call,
 outside its timing, and every later round must emit exactly the first
 round's ISEs.
@@ -51,8 +51,9 @@ class Call:
 class CallRecord:
     call: Call
     attempted: int = 0
-    #: Wall seconds per round; a refused call's time counts, it was spent.
-    seconds: list[float] = field(default_factory=list)
+    #: ``(start, end)`` wall interval per round; a refused call's time
+    #: counts, it was spent.
+    intervals: list[tuple[float, float]] = field(default_factory=list)
     #: Refused by a node limit: one of the paper's missing bars.
     refused: bool = False
     speedup: float | None = None
@@ -123,10 +124,10 @@ def run_rounds(
     budget: float,
     min_rounds: int,
     tracer,
-    after_call: Callable[[float], None],
+    after_round: Callable[[], None],
 ) -> tuple[list[CallRecord], int]:
     """Repeat the round while the next one is expected to end within *budget*
-    seconds; *after_call* gets each call's seconds and runs outside them.
+    seconds; *after_round* runs after each, counted in the round's time.
 
     Returns the per-call records and the number of rounds run.
     """
@@ -137,14 +138,15 @@ def run_rounds(
     while rounds < min_rounds or time.perf_counter() - started + last <= budget:
         round_started = time.perf_counter()
         for record in records:
-            after_call(_run_call(record, rounds, tracer))
+            _run_call(record, rounds, tracer)
+        after_round()
         last = time.perf_counter() - round_started
         rounds += 1
     return records, rounds
 
 
-def _run_call(record: CallRecord, round_index: int, tracer) -> float:
-    """One timed call, then its checks; returns its seconds (0 if it raised)."""
+def _run_call(record: CallRecord, round_index: int, tracer) -> None:
+    """One timed call, then its checks."""
     call = record.call
     record.attempted += 1
     refused = False
@@ -155,9 +157,9 @@ def _run_call(record: CallRecord, round_index: int, tracer) -> float:
         refused = True
     except Exception as error:  # noqa: BLE001 - a crashing call is one failed operation
         record.failures.append(f"{call.label} raised {type(error).__name__}: {error}")
-        return 0.0
-    first = not record.seconds
-    record.seconds.append(span.seconds)
+        return
+    first = not record.intervals
+    record.intervals.append((span.start, span.end))
     if first:
         record.refused = refused
         if not refused:
@@ -171,4 +173,3 @@ def _run_call(record: CallRecord, round_index: int, tracer) -> float:
         not refused and result_signature(output) != record.signature
     ):
         record.failures.append(f"{call.label}: round {round_index} differs from the first round")
-    return span.seconds

@@ -8,8 +8,10 @@ metric:
 2. the measured window of ``--seconds``: an in-process service answers a
    warm-up job and a fixed number of cold jobs (:mod:`isebench.serving`);
    then the workload's generation rounds run (:mod:`isebench.generation`),
-   each call followed by a short burst of cached resubmissions, so that the
-   rounds and the cached samples both span the rest of the window;
+   each round followed by one cached resubmission of every cold job, so that
+   the rounds and the cached samples both span the rest of the window.  The
+   host's speed is sampled throughout, and the CPU-bound timings are
+   reported in reference seconds (:mod:`isebench.hostspeed`);
 3. checks: every emitted ISE and every served row, re-checked outside the
    timed regions (:mod:`isebench.checks`); each mismatch is a failed
    operation.
@@ -36,12 +38,18 @@ from repro.service import ServiceClient, run_workload_cell
 from repro.workloads import AES_BENCHMARK, PAPER_BENCHMARKS, load_workload
 
 from . import generation, probes, serving, setup_timing
+from .hostspeed import PYTHON, HostSpeed, Reference, numpy_reference
 from .inputs import block_inputs, job_mix, program_from_inputs
 from .spans import SpanRecorder
 from .stats import geomean, median, ratio, tail
 
 #: Registered programs of each workload.
 WORKLOADS = {"aes": (AES_BENCHMARK,), "paper": PAPER_BENCHMARKS}
+#: The host-speed loop each workload's generation calls are scaled by
+#: (:mod:`isebench.hostspeed`): AES's time goes to the numpy kernel's gain
+#: sweep over its 696-node block, paper's to pure-Python search and scoring
+#: on small blocks.
+SPEED_REFERENCES = {"aes": numpy_reference, "paper": lambda: PYTHON}
 
 
 @dataclass(frozen=True)
@@ -51,9 +59,7 @@ class Scale:
     #: samples beyond it.
     cold_jobs: int
     #: Generation rounds every measured window runs, whatever its budget.
-    #: More run while the next one is expected to fit: at 48 s, three on
-    #: ``aes`` and four or five on ``paper`` on a 2-vCPU host, and two on
-    #: ``aes`` when the host is slow, so the run still ends near its budget.
+    #: More run while the next one is expected to fit.
     min_rounds: int
     probe_reps: int
     scoring_samples: int
@@ -72,10 +78,6 @@ SMOKE = Scale(
     setup_samples=1, cold_jobs=2, min_rounds=1, probe_reps=3,
     scoring_samples=20, paper_programs=2, max_ises=1,
 )
-
-#: Cached resubmissions after each generation call, as a share of the
-#: call's seconds (at least one job).
-CACHED_SHARE = 0.1
 
 END_TO_END = {
     "setup_s": "s",
@@ -145,7 +147,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     )
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=48.0, help="measured time of the run")
+    parser.add_argument("--seconds", type=float, default=32.0, help="measured time of the run")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true", help="tiny sizes: the benchmark's own smoke test")
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
@@ -166,6 +168,7 @@ class Inputs:
     constraints: ISEConstraints
     mix: list[dict]
     calls: list[generation.Call]
+    reference: Reference
 
 
 def build_inputs(name: str, seed: int, scale: Scale) -> Inputs:
@@ -182,7 +185,9 @@ def build_inputs(name: str, seed: int, scale: Scale) -> Inputs:
         calls = generation.aes_calls(programs[0], seed, constraints)
     else:
         calls = generation.paper_calls(programs, seed, constraints)
-    return Inputs(programs, constraints, job_mix(seed, scale.cold_jobs), calls)
+    return Inputs(
+        programs, constraints, job_mix(seed, scale.cold_jobs), calls, SPEED_REFERENCES[name]()
+    )
 
 
 @dataclass
@@ -193,6 +198,7 @@ class Measurement:
     snapshot: dict
     failures: list[str]
     refusals: int
+    speed: HostSpeed
     layer: dict[str, float] = field(default_factory=dict)
     missing: dict[str, str] = field(default_factory=dict)
 
@@ -209,19 +215,16 @@ def measure(inputs, budget, scale, seed, tracer, work, min_rounds, with_probes) 
     started = time.perf_counter()
     service = serving.start_service(work)
     try:
-        client = ServiceClient(service.endpoint, client_id=serving.CLIENT_ID)
-        phase = serving.run_cold(client, inputs.mix, scale.cold_jobs, tracer)
-        records, rounds = generation.run_rounds(
-            inputs.calls,
-            budget - (time.perf_counter() - started),
-            min_rounds,
-            tracer,
-            lambda seconds: serving.run_cached(client, phase, CACHED_SHARE * seconds, tracer),
-        )
-        # Every cold spec is resubmitted at least once.
-        serving.run_cached(
-            client, phase, 0.0, tracer, jobs=len(phase.cold) - phase.resubmitted
-        )
+        with HostSpeed(inputs.reference) as speed:
+            client = ServiceClient(service.endpoint, client_id=serving.CLIENT_ID)
+            phase = serving.run_cold(client, inputs.mix, scale.cold_jobs, tracer)
+            records, rounds = generation.run_rounds(
+                inputs.calls,
+                budget - (time.perf_counter() - started),
+                min_rounds,
+                tracer,
+                lambda: serving.run_cached(client, phase, tracer),
+            )
         snapshot = client.metrics()["metrics"]
     finally:
         service.stop()
@@ -241,7 +244,7 @@ def measure(inputs, budget, scale, seed, tracer, work, min_rounds, with_probes) 
     failures += [job.problem for job in phase.cold + phase.cached if job.problem]
     failures += serving.row_mismatches(phase.cold, reference)
     measurement = Measurement(
-        records, rounds, phase, snapshot, failures, serving.refusals(snapshot)
+        records, rounds, phase, snapshot, failures, serving.refusals(snapshot), speed
     )
     if with_probes:
         largest = max(inputs.programs, key=lambda program: program.critical_block_size())
@@ -270,13 +273,18 @@ def measure(inputs, budget, scale, seed, tracer, work, min_rounds, with_probes) 
     return measurement
 
 
-def fastest_total(records, algorithms: tuple[str, ...] | None = None, group: str | None = None):
-    """Sum over the chosen calls of each call's fastest round, and how many
-    calls that covers (``None`` when no chosen call completed)."""
+def wall_s(start: float, end: float) -> float:
+    return end - start
+
+
+def fastest_total(records, seconds, algorithms: tuple[str, ...] | None = None, group: str | None = None):
+    """Sum over the chosen calls of each call's fastest round, timed by
+    ``seconds(start, end)``, and how many calls that covers (``None`` when
+    no chosen call completed)."""
     fastest = [
-        min(record.seconds)
+        min(seconds(start, end) for start, end in record.intervals)
         for record in records
-        if record.seconds
+        if record.intervals
         and (algorithms is None or record.call.algorithm in algorithms)
         and (group is None or record.call.group == group)
     ]
@@ -287,10 +295,18 @@ def end_to_end(setup_samples: list[dict], m: Measurement) -> tuple[dict, dict]:
     values, notes = {}, {}
     totals = [setup_timing.total_s(sample) for sample in setup_samples]
     values["setup_s"] = median(totals)
-    notes["setup_s"] = f"median of {len(totals)} set-up(s), each in a fresh process"
+    walls = [sum(end - start for start, end in sample["phases"].values()) for sample in setup_samples]
+    notes["setup_s"] = (
+        f"reference s, median of {len(totals)} set-up(s), each in a fresh process; "
+        f"wall {median(walls) or 0:.4g} s"
+    )
     for group in ("isegen", "baseline"):
-        values[f"{group}_s"], calls = fastest_total(m.records, group=group)
-        notes[f"{group}_s"] = f"sum over {calls} call(s) of each one's fastest of {m.rounds} round(s)"
+        values[f"{group}_s"], calls = fastest_total(m.records, m.speed.reference_s, group=group)
+        wall, _ = fastest_total(m.records, wall_s, group=group)
+        notes[f"{group}_s"] = (
+            f"reference s, sum over {calls} call(s) of each one's fastest of {m.rounds} "
+            f"round(s); wall {wall or 0:.4g} s"
+        )
         speedups = [
             record.speedup
             for record in m.records
@@ -298,13 +314,17 @@ def end_to_end(setup_samples: list[dict], m: Measurement) -> tuple[dict, dict]:
         ]
         values[f"{group}_speedup"] = geomean(speedups)
         notes[f"{group}_speedup"] = f"geometric mean over {len(speedups)} call(s)"
-    for kind in ("cold", "cached"):
-        latencies = [job.seconds * 1e3 for job in getattr(m.phase, kind)]
+    for kind, seconds, clock in (
+        ("cold", lambda job: job.seconds, "wall"),
+        ("cached", lambda job: job.seconds * PYTHON.seconds / job.loop_s, "reference"),
+    ):
+        latencies = [seconds(job) * 1e3 for job in getattr(m.phase, kind)]
         values[f"{kind}_job_p50_ms"] = median(latencies)
-        notes[f"{kind}_job_p50_ms"] = f"{len(latencies)} jobs"
+        wall = median([job.seconds * 1e3 for job in getattr(m.phase, kind)])
+        notes[f"{kind}_job_p50_ms"] = f"{clock} ms, {len(latencies)} jobs; wall {wall or 0:.4g} ms"
         percentile, values[f"{kind}_job_tail_ms"] = tail(latencies) or (None, None)
         if percentile is not None:
-            notes[f"{kind}_job_tail_ms"] = f"p{percentile:.1f} of {len(latencies)} jobs"
+            notes[f"{kind}_job_tail_ms"] = f"{clock} ms, p{percentile:.1f} of {len(latencies)} jobs"
     values["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return present(values), notes
 
@@ -344,7 +364,7 @@ def per_layer(untraced: Measurement, traced: Measurement, tracer: SpanRecorder) 
 
     genetic = _summed_stats(traced.records, ("Genetic",))
     evals = genetic.get("fitness_evaluations", 0)
-    values["genetic.wall_s"], _ = fastest_total(traced.records, ("Genetic",))
+    values["genetic.wall_s"], _ = fastest_total(traced.records, wall_s, ("Genetic",))
     values["genetic.fitness_evals"] = evals
     values["genetic.memo_hits"] = genetic.get("memo_hits", 0)
     values["genetic.duplicates_skipped"] = genetic.get("duplicates_skipped", 0)
@@ -356,7 +376,9 @@ def per_layer(untraced: Measurement, traced: Measurement, tracer: SpanRecorder) 
     for name in ENUMERATION_COUNTS:
         values[f"enumeration.{name}"] = enumeration.get(name, 0)
     if any(record.call.algorithm in ("Exact", "Iterative") for record in traced.records):
-        values["enumeration.wall_s"], _ = fastest_total(traced.records, ("Exact", "Iterative"))
+        values["enumeration.wall_s"], _ = fastest_total(
+            traced.records, wall_s, ("Exact", "Iterative")
+        )
         values["enumeration.states_per_s"] = ratio(
             values["enumeration.states_visited"], values["enumeration.wall_s"]
         )
@@ -398,6 +420,16 @@ def per_layer(untraced: Measurement, traced: Measurement, tracer: SpanRecorder) 
     )
     values["trace_overhead"] = None if overhead is None else overhead - 1
     return present(values), missing
+
+
+def print_host_speed(m: Measurement) -> None:
+    loop, reference = m.speed.median_loop_s(), m.speed.reference
+    if loop is not None:
+        print(
+            f"host speed: {reference.name} loop {loop * 1e6:.1f} us, median of "
+            f"{len(m.speed.samples)} samples (reference {reference.seconds * 1e6:.0f} us): "
+            f"about {reference.seconds / loop:.3f} reference seconds per wall second"
+        )
 
 
 def report(units: dict, values: dict, notes: dict, missing: dict, attempted: int, failures: list[str], refusals: int) -> None:
@@ -460,6 +492,7 @@ def _run(args: argparse.Namespace, scale: Scale, root: Path, work: Path) -> None
             work / "measure", scale.min_rounds, with_probes=False,
         )
         values, notes = end_to_end(setup_samples, m)
+        print_host_speed(m)
         report(END_TO_END, values, notes, {}, m.attempted, m.failures, m.refusals)
         return
     # Each pass gets half the window, so one round is all it can promise.

@@ -11,13 +11,20 @@ sends the next:
    put).  ``ServiceClient.wait`` polls every 0.25 s by default, and a cell
    finishes well inside one tick, so a cold job takes about one tick;
 3. cached jobs: resubmissions of the cold specs, answered from the store —
-   its read path (probe, lookup).  They come in short bursts between the
-   generation calls, so that their samples span the whole run.
+   its read path (probe, lookup).  Every cold spec is resubmitted once after
+   each generation round, so that the samples span the whole run.
+
+A cold job's time is the wait tick, which no host speed moves, so it is
+reported in wall seconds.  A cached job's is CPU work in the client, the
+server and the store, reported in reference seconds
+(:mod:`isebench.hostspeed`): one run of the interpreter loop
+:data:`~isebench.hostspeed.PYTHON` precedes each cached job on the client's
+thread, and every job of a burst is scaled by the burst's median loop time.
 """
 
 from __future__ import annotations
 
-import time
+import statistics
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +35,7 @@ from repro.service import IseService, ServiceConfig
 from repro.sweep import SweepDirectory
 from repro.workloads import load_workload
 
+from . import hostspeed
 from .checks import row_problems, row_signature
 from .inputs import WARMUP_JOB
 
@@ -48,10 +56,18 @@ def start_service(root: Path) -> IseService:
 class Job:
     spec: dict
     kind: str
-    seconds: float
+    #: Wall interval from submit to result, ``time.perf_counter`` seconds.
+    start: float
+    end: float
     summary: dict
     rows: list
     problem: str | None = None
+    #: Cached jobs: the median host-speed loop seconds of the job's burst.
+    loop_s: float | None = None
+
+    @property
+    def seconds(self) -> float:
+        return self.end - self.start
 
 
 @dataclass
@@ -62,8 +78,6 @@ class ServicePhase:
     errors: list[str] = field(default_factory=list)
     #: Jobs sent, the warm-up included, whether or not they raised.
     attempted: int = 0
-    #: Resubmissions sent; the next one resubmits ``cold[resubmitted % len(cold)]``.
-    resubmitted: int = 0
 
 
 def run_job(client, spec: dict, kind: str, tracer, op: str) -> Job:
@@ -75,7 +89,7 @@ def run_job(client, spec: dict, kind: str, tracer, op: str) -> Job:
             status = client.wait(summary["job_id"])
         with tracer.span("client.result", op=op, kind=kind):
             rows = client.result(summary["job_id"]).get("rows", [])
-    job = Job(spec, kind, whole.seconds, summary, rows)
+    job = Job(spec, kind, whole.start, whole.end, summary, rows)
     if status.get("state") != "done" or len(rows) != 1:
         job.problem = f"{kind} job ended {status.get('state')!r} with {len(rows)} row(s)"
     elif kind == "cold" and (summary["cached"], summary["enqueued"]) != (0, 1):
@@ -103,17 +117,13 @@ def run_cold(client, mix: list[dict], count: int, tracer) -> ServicePhase:
     return phase
 
 
-def run_cached(client, phase: ServicePhase, seconds: float, tracer, jobs: int = 1) -> None:
-    """Resubmit the cold specs in turn: at least *jobs* jobs, and for at
-    least *seconds*."""
-    started = time.perf_counter()
-    sent = 0
-    while phase.cold and (sent < jobs or time.perf_counter() - started < seconds):
-        cold = phase.cold[phase.resubmitted % len(phase.cold)]
-        op = f"cached{phase.resubmitted}"
-        phase.resubmitted += 1
+def run_cached(client, phase: ServicePhase, tracer) -> None:
+    """Resubmit every cold spec once, each after one host-speed reading."""
+    burst, readings = [], []
+    for cold in phase.cold:
+        op = f"cached{phase.attempted}"
         phase.attempted += 1
-        sent += 1
+        readings.append(hostspeed.loop_s())
         try:
             job = run_job(client, cold.spec, "cached", tracer, op)
         except ReproError as error:
@@ -121,7 +131,10 @@ def run_cached(client, phase: ServicePhase, seconds: float, tracer, jobs: int = 
             continue
         if job.problem is None and job.rows != cold.rows:
             job.problem = "cached rows differ from the cold job's rows"
-        phase.cached.append(job)
+        burst.append(job)
+    for job in burst:
+        job.loop_s = statistics.median(readings)
+    phase.cached += burst
 
 
 def row_mismatches(jobs: list[Job], reference: Callable[[dict], dict]) -> list[str]:

@@ -13,8 +13,11 @@ module loading is counted — clears the workload memo, then times:
   (every workload runs the service phase).
 
 The renumbering between the first two phases is the benchmark generating
-its inputs, so it is not timed.  ``setup_s`` is the median total over the
-samples.
+its inputs, so it is not timed.  A sample's total is in reference seconds,
+scaled by the host speed sampled every :data:`SAMPLE_PERIOD_S` while the
+child sets up.  The sampler runs the interpreter loop
+:data:`isebench.hostspeed.PYTHON`, since the numpy loop would import numpy
+before the timed import.  ``setup_s`` is the median total over the samples.
 """
 
 from __future__ import annotations
@@ -31,16 +34,29 @@ from repro.workloads import load_workload
 from repro.workloads.registry import clear_workload_memo
 
 from . import serving
+from .hostspeed import PYTHON, HostSpeed
 from .inputs import block_inputs, program_from_inputs
 
 RUN_SCRIPT = Path(__file__).resolve().parents[1] / "run.py"
 #: A set-up probe running past this is broken, not slow.
 PROBE_TIMEOUT_S = 120
+#: The set-up takes about 0.1 s, so the host speed is sampled faster than
+#: during the measured window: a dozen samples, a few percent of its time.
+SAMPLE_PERIOD_S = 0.005
 
 
 def probe(programs: tuple[str, ...], seed: int, work: Path) -> dict:
-    """Child side: time one set-up; ``{"phases": {name: [start, end]}}``."""
+    """Child side: time one set-up; ``{"phases": {name: [start, end]},
+    "loop_s": host-speed loop seconds}``."""
     clear_workload_memo()
+    with HostSpeed(PYTHON, SAMPLE_PERIOD_S) as speed:
+        phases = _phases(programs, seed, work)
+    first = min(start for start, _ in phases.values())
+    last = max(end for _, end in phases.values())
+    return {"phases": phases, "loop_s": speed.loop_s(first, last, pad=0.0)}
+
+
+def _phases(programs: tuple[str, ...], seed: int, work: Path) -> dict:
     clock = time.perf_counter
     phases = {}
     start = clock()
@@ -68,7 +84,7 @@ def probe(programs: tuple[str, ...], seed: int, work: Path) -> dict:
         phases["service.start"] = (start, clock())
     finally:
         service.stop()
-    return {"phases": phases}
+    return phases
 
 
 def sample(workload: str, seed: int, smoke: bool, root: Path, work: Path) -> dict:
@@ -89,4 +105,6 @@ def sample(workload: str, seed: int, smoke: bool, root: Path, work: Path) -> dic
 
 
 def total_s(sample: dict) -> float:
-    return sum(end - start for start, end in sample["phases"].values())
+    """The sample's set-up time in reference seconds."""
+    wall = sum(end - start for start, end in sample["phases"].values())
+    return wall * PYTHON.seconds / sample["loop_s"]

@@ -2,7 +2,7 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload aes --seed 0 --seconds 48 --trace 0
+    python3 perfbench/run.py --workload aes --seed 0 --seconds 32 --trace 0
 
 Workloads (``BENCHMARK.json`` records why each exists):
 
@@ -12,9 +12,12 @@ Workloads (``BENCHMARK.json`` records why each exists):
 
 Both run the same service phase: an in-process ``IseService`` driven by one
 closed-loop client, cold single-cell jobs first, then cached resubmissions
-between the generation calls.  So every workload reports every end-to-end
+after each generation round.  So every workload reports every end-to-end
 metric: the algorithm metrics come from its in-process generation rounds,
-the job latencies from the service phase.
+the job latencies from the service phase.  The CPU-bound timings are in
+reference seconds, scaled by the host speed sampled while they ran
+(``isebench/hostspeed.py``): the shared host's own drift would otherwise
+swamp the program's changes.
 ``--trace 1`` runs the same workload and seed untraced and then traced,
 adds the per-layer probes, prints the per-layer metrics instead, and writes
 its spans to ``.perfbench/trace-<workload>-seed<seed>.jsonl``.  ``--smoke``

@@ -23,6 +23,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from isebench.checks import cut_problem  # noqa: E402
+from isebench.hostspeed import HostSpeed, Reference  # noqa: E402
 from repro.dfg import DataFlowGraph  # noqa: E402
 from repro.hwmodel import ISEConstraints  # noqa: E402
 from repro.isa import Opcode  # noqa: E402
