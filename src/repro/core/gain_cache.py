@@ -43,11 +43,14 @@ from __future__ import annotations
 import math
 
 from ..dfg import mask_of
-from ..dfg.kernels import MaskKernel, NumpyKernel, resolve_kernel
+from ..dfg.kernels import MaskKernel, NumpyKernel, PurePythonKernel, resolve_kernel
 from ..errors import ISEGenError
 from .config import GainWeights
 from .gain import GainBreakdown, GainEvaluator
 from .state import PartitionState
+
+#: Table ops over plain lists of big-int masks, such as ``succ_mask``.
+_LIST_TABLES = PurePythonKernel()
 
 
 class CachedGainEvaluator(GainEvaluator):
@@ -79,7 +82,6 @@ class CachedGainEvaluator(GainEvaluator):
         # State snapshot backing the invalidation rules.
         self._seen_toggles = state.toggle_count
         self._seen_violation = state.violation_mask
-        self._seen_path_end = dict(state._path_end)
 
     def rebind(self, state: PartitionState) -> None:
         """Point the evaluator at *state*, reusing the static per-DFG tables
@@ -107,7 +109,6 @@ class CachedGainEvaluator(GainEvaluator):
         self._incoming = [None] * n
         self._seen_toggles = self.state.toggle_count
         self._seen_violation = self.state.violation_mask
-        self._seen_path_end = dict(self.state._path_end)
 
     @staticmethod
     def _clear(entries: list, mask: int) -> None:
@@ -136,16 +137,12 @@ class CachedGainEvaluator(GainEvaluator):
                 self._cvx,
                 bit | dfg_index.anc[index] | dfg_index.desc[index],
             )
-        stale = self._succ_masks[index]
-        new_path_end = state._path_end
-        for node, delay in new_path_end.items():
-            if self._seen_path_end.get(node) != delay:
-                stale |= self._succ_masks[node]
-        for node in self._seen_path_end:
-            if node not in new_path_end:
-                stale |= self._succ_masks[node]
-        self._clear(self._incoming, stale)
-        self._seen_path_end = dict(new_path_end)
+        # ``incoming`` reads the parents' ``path_end``: it goes stale at the
+        # children of every node whose ``path_end`` the toggle touched.
+        self._clear(
+            self._incoming,
+            _LIST_TABLES.union_selected(self._succ_masks, state.path_changed),
+        )
         self._seen_toggles = state.toggle_count
 
     def cached_toggle_entries(
@@ -331,7 +328,6 @@ class VectorizedGainEvaluator(GainEvaluator):
         # State snapshot backing the invalidation rules.
         self._seen_toggles = state.toggle_count
         self._seen_violation = state.violation_mask
-        self._seen_path_end = dict(state._path_end)
 
     # ------------------------------------------------------------------
     # Cache lifecycle (mirrors CachedGainEvaluator)
@@ -353,7 +349,6 @@ class VectorizedGainEvaluator(GainEvaluator):
         self._valid_inc[:] = False
         self._seen_toggles = self.state.toggle_count
         self._seen_violation = self.state.violation_mask
-        self._seen_path_end = dict(self.state._path_end)
 
     def _bits(self, mask: int):
         return self.kernel.bits_of(mask, self._n)
@@ -378,16 +373,10 @@ class VectorizedGainEvaluator(GainEvaluator):
                 self._valid_cvx,
                 1 << index | self._index.anc[index] | self._index.desc[index],
             )
-        stale = self._succ_masks[index]
-        new_path_end = state._path_end
-        for node, delay in new_path_end.items():
-            if self._seen_path_end.get(node) != delay:
-                stale |= self._succ_masks[node]
-        for node in self._seen_path_end:
-            if node not in new_path_end:
-                stale |= self._succ_masks[node]
-        self._invalidate(self._valid_inc, stale)
-        self._seen_path_end = dict(new_path_end)
+        self._invalidate(
+            self._valid_inc,
+            _LIST_TABLES.union_selected(self._succ_masks, state.path_changed),
+        )
         self._seen_toggles = state.toggle_count
 
     def cached_toggle_entries(
@@ -568,11 +557,15 @@ class VectorizedGainEvaluator(GainEvaluator):
         nbr_f = self._nbr.astype(np.float64)
         convexity = np.where(in_cut, -nbr_f, nbr_f)
         large_cut = np.where(in_cut, -self._prox_arr, self._prox_arr)
-        total_delay = sum(state._component_delay)
-        component_delay = np.zeros(n, dtype=np.float64)
-        for node, cid in state._component_of.items():
-            component_delay[node] = state._component_delay[cid]
-        independent = np.where(in_cut, total_delay - component_delay, 0.0)
+        # Component delays by label, gathered per node through the state's
+        # label list (-1 outside the cut reads the trailing 0.0).
+        delay_of_label = np.zeros(n + 1, dtype=np.float64)
+        delays = state._component_delay
+        delay_of_label[list(delays)] = list(delays.values())
+        component_delay = delay_of_label[state._component_of]
+        independent = np.where(
+            in_cut, state._component_total - component_delay, 0.0
+        )
 
         model = state.latency_model
         size = state.cut_size
@@ -586,9 +579,7 @@ class VectorizedGainEvaluator(GainEvaluator):
             delay_rem = np.zeros(n, dtype=np.float64)
         else:
             top1, count1, top2 = state._top_path
-            path_end = np.zeros(n, dtype=np.float64)
-            for node, value in state._path_end.items():
-                path_end[node] = value
+            path_end = np.array(state._path_end, dtype=np.float64)
             delay_rem = np.where(
                 (count1 > 1) | (path_end < top1), top1, top2
             ).astype(np.float64)

@@ -8,7 +8,10 @@ function needs ready for O(degree) candidate evaluation:
 * convexity of the cut via ancestor/descendant bitset unions,
 * the software latency of the cut (incremental sum),
 * the hardware critical path of the cut and of each of its weakly-connected
-  components (recomputed in O(|cut|) after every committed toggle),
+  components, updated only where a committed toggle reaches: the toggled
+  node's ``path_end`` and those of the cut descendants whose longest
+  incoming path changes, and the toggled node's own component (merged on an
+  addition, re-flooded on a removal that may split it),
 * which nodes may be toggled at all (forbidden nodes and nodes already
   claimed by previously generated ISEs are excluded).
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Collection, Iterable
 
-from ..dfg import DataFlowGraph, indices_of_mask, mask_of, popcount
+from ..dfg import DataFlowGraph, mask_of, popcount
 from ..dfg.kernels import MaskKernel, resolve_kernel
 from ..errors import ISEGenError
 from ..hwmodel import ISEConstraints, LatencyModel
@@ -80,15 +83,26 @@ class PartitionState:
         #: Nodes outside the cut that witness a convexity violation
         #: (``desc_union & anc_union & ~cut``); empty iff the cut is convex.
         self._violation_mask = 0
-        #: Longest hardware path (normalized delay) ending at each cut node.
-        self._path_end: dict[int, float] = {}
+        #: Longest hardware path (normalized delay) ending at each node;
+        #: 0.0 outside the cut.
+        self._path_end: list[float] = [0.0] * n
+        #: Multiset of the cut's ``_path_end`` values (value -> count).
+        self._path_counts: dict[float, int] = {}
         #: ``(top delay, multiplicity of top delay, second-best delay)`` over
-        #: ``_path_end`` — lets removal estimates run in O(1).
+        #: the cut's ``_path_end`` — lets removal estimates run in O(1).
         self._top_path: tuple[float, int, float] = (0.0, 0, 0.0)
-        #: Weakly-connected component id of each cut node.
-        self._component_of: dict[int, int] = {}
-        #: Critical-path delay of every component.
-        self._component_delay: list[float] = []
+        #: Label of each cut node's weakly-connected component (the
+        #: component's smallest member); -1 outside the cut.
+        self._component_of: list[int] = [-1] * n
+        #: Members of every component, by label.
+        self._component_members: dict[int, list[int]] = {}
+        #: Critical-path delay of every component, by label.
+        self._component_delay: dict[int, float] = {}
+        #: Sum of the component delays in ascending label order.
+        self._component_total: float = 0
+        #: Nodes whose ``_path_end`` entered, left or changed value in the
+        #: last committed toggle (what the gain caches invalidate from).
+        self.path_changed = 0
         #: Total committed toggles (lets caches detect untracked mutation).
         self.toggle_count = 0
 
@@ -121,94 +135,177 @@ class PartitionState:
                 f"node {self.dfg.node_by_index(index).name!r} may not be toggled "
                 "(forbidden operation or already claimed by another ISE)"
             )
-        entering = not self.in_cut(index)
+        bit = 1 << index
+        entering = not self.cut_mask & bit
         self.io.toggle(index)
         sw = self._sw_table[index]
         if entering:
-            self.cut_mask |= 1 << index
+            self.cut_mask |= bit
             self._sw_latency += sw
             self._desc_union |= self.index.desc[index]
             self._anc_union |= self.index.anc[index]
         else:
-            self.cut_mask &= ~(1 << index)
+            self.cut_mask &= ~bit
             self._sw_latency -= sw
-            self._recompute_closure_unions()
+            self._desc_union, self._anc_union = self.index.closure_masks(
+                self.cut_mask, self.kernel
+            )
         self._violation_mask = self._desc_union & self._anc_union & ~self.cut_mask
         self.toggle_count += 1
-        self._recompute_paths_and_components()
+        if entering:
+            self._join_component(index, self._update_paths(index, entering))
+        else:
+            self._update_paths(index, entering)
+            self._split_component(index)
+        # Float addition is order-sensitive: sum in ascending-label order,
+        # the order in which a scan of the cut in index order meets them.
+        # (A generator, not component_delays(): a tuple per toggle would
+        # fill CPython's tuple free lists and raise the peak RSS.)
+        delays = self._component_delay
+        self._component_total = sum(delays[label] for label in sorted(delays))
+        top1 = top2 = 0.0
+        for value in self._path_counts:
+            if value > top1:
+                top2 = top1
+                top1 = value
+            elif top2 < value < top1:
+                top2 = value
+        self._top_path = (top1, self._path_counts.get(top1, 0), top2)
+        self._hw_delay = top1
 
-    def _recompute_closure_unions(self) -> None:
-        self._desc_union, self._anc_union = self.index.closure_masks(
-            self.cut_mask, self.kernel
-        )
+    # ------------------------------------------------------------------
+    # Incremental critical path and components
+    # ------------------------------------------------------------------
+    def _count_path(self, value: float, delta: int) -> None:
+        counts = self._path_counts
+        count = counts.get(value, 0) + delta
+        if count:
+            counts[value] = count
+        else:
+            del counts[value]
 
-    def _recompute_paths_and_components(self) -> None:
-        """Exact critical path + weakly-connected components of the cut."""
+    def _update_paths(self, index: int, entering: bool) -> float:
+        """Refresh ``_path_end`` after *index* entered or left the cut.
+
+        Only *index* and the cut descendants whose longest incoming path
+        changes are visited, in ascending index order (a topological order),
+        and propagation stops at every node whose value stays the same.
+        Sets :attr:`path_changed`; returns the largest value written (on an
+        addition paths only grow, so it bounds the merged component).
+        """
         cut_mask = self.cut_mask
-        members = indices_of_mask(cut_mask)
-        path_end: dict[int, float] = {}
-        component_of: dict[int, int] = {}
+        path_end = self._path_end
         preds_table = self.dfg._preds
         hw_table = self._hw_table
-        # Longest path ending at each node (members are in topological order,
-        # membership is a cut-mask bit test).
-        best = 0.0
-        for index in members:
+        succ_mask = self.index.succ_mask
+        changed = 1 << index
+        if entering:
+            # Counted at the 0.0 it held outside the cut; the loop below
+            # moves it to its value like any other changed node.
+            self._count_path(0.0, 1)
+            pending = changed
+        else:
+            self._count_path(path_end[index], -1)
+            path_end[index] = 0.0
+            pending = succ_mask[index] & cut_mask
+        highest = 0.0
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            node = low.bit_length() - 1
             incoming = 0.0
-            for pred in preds_table[index]:
+            for pred in preds_table[node]:
                 if cut_mask >> pred & 1:
                     value = path_end[pred]
                     if value > incoming:
                         incoming = value
-            total = incoming + hw_table[index]
-            path_end[index] = total
-            if total > best:
-                best = total
-        # Union-find style component labelling via repeated merging.
-        parent: dict[int, int] = {i: i for i in members}
+            total = incoming + hw_table[node]
+            old = path_end[node]
+            if total == old:
+                continue
+            path_end[node] = total
+            self._count_path(old, -1)
+            self._count_path(total, 1)
+            if total > highest:
+                highest = total
+            changed |= low
+            pending |= succ_mask[node] & cut_mask
+        self.path_changed = changed
+        return highest
 
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+    def _join_component(self, index: int, highest: float) -> None:
+        """Merge the components *index* touches into one, with *index*."""
+        component_of = self._component_of
+        members_of = self._component_members
+        delays = self._component_delay
+        touched = {
+            component_of[node]
+            for node in (*self.dfg._preds[index], *self.dfg._succs[index])
+            if component_of[node] >= 0
+        }
+        label = min(touched, default=index)
+        if index <= label:
+            label = index
+            members = [index]
+            delay = highest
+        else:
+            members = members_of[label]
+            members.append(index)
+            delay = max(delays[label], highest)
+        component_of[index] = label
+        for other in touched:
+            if other != label:
+                moved = members_of.pop(other)
+                delay = max(delay, delays.pop(other))
+                for node in moved:
+                    component_of[node] = label
+                members.extend(moved)
+        members_of[label] = members
+        delays[label] = delay
 
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+    def _split_component(self, index: int) -> None:
+        """Drop *index* from its component and re-label what is left.
 
-        for index in members:
-            for pred in preds_table[index]:
-                if cut_mask >> pred & 1:
-                    union(index, pred)
-        roots: dict[int, int] = {}
-        component_delay: list[float] = []
-        for index in members:
-            root = find(index)
-            if root not in roots:
-                roots[root] = len(component_delay)
-                component_delay.append(0.0)
-            cid = roots[root]
-            component_of[index] = cid
-            component_delay[cid] = max(component_delay[cid], path_end[index])
-        top1 = 0.0
-        count1 = 0
-        top2 = 0.0
-        for value in path_end.values():
-            if value > top1:
-                top2 = top1
-                top1 = value
-                count1 = 1
-            elif value == top1:
-                count1 += 1
-            elif value > top2:
-                top2 = value
-        self._path_end = path_end
-        self._top_path = (top1, count1, top2)
-        self._component_of = component_of
-        self._component_delay = component_delay
-        self._hw_delay = best
+        The rest stays connected unless *index* had at least two cut
+        neighbours; only then is it re-flooded into its parts."""
+        component_of = self._component_of
+        members_of = self._component_members
+        label = component_of[index]
+        component_of[index] = -1
+        members = members_of.pop(label)
+        del self._component_delay[label]
+        preds_table = self.dfg._preds
+        succs_table = self.dfg._succs
+        seeds = {
+            node
+            for node in (*preds_table[index], *succs_table[index])
+            if component_of[node] == label
+        }
+        flooded = len(seeds) > 1
+        if not flooded:
+            members.remove(index)
+            parts = [members] if members else []
+        else:
+            parts = []
+            for seed in seeds:
+                if component_of[seed] != label:
+                    continue  # reached from an earlier seed
+                component_of[seed] = -2  # visited; re-labelled below
+                part = [seed]
+                for node in part:
+                    for other in (*preds_table[node], *succs_table[node]):
+                        if component_of[other] == label:
+                            component_of[other] = -2
+                            part.append(other)
+                parts.append(part)
+        path_end = self._path_end
+        for part in parts:
+            new_label = min(part)
+            if flooded or new_label != label:
+                for node in part:
+                    component_of[node] = new_label
+            members_of[new_label] = part
+            self._component_delay[new_label] = max(map(path_end.__getitem__, part))
 
     # ------------------------------------------------------------------
     # Exact current-state queries
@@ -259,18 +356,19 @@ class PartitionState:
         return self.is_convex() and self.io_violation() == 0
 
     def component_delays(self) -> tuple[float, ...]:
-        return tuple(self._component_delay)
+        """Critical-path delay of every component, by smallest member."""
+        delays = self._component_delay
+        return tuple(delays[label] for label in sorted(delays))
 
     def other_components_delay(self, index: int) -> float:
         """Sum of the critical-path delays of the cut's connected components
         *excluding* the component containing node *index* (the quantity the
         independent-cuts gain component uses).  If the node is in software the
         sum over all components is returned."""
-        total = sum(self._component_delay)
-        cid = self._component_of.get(index)
-        if cid is None:
-            return total
-        return total - self._component_delay[cid]
+        label = self._component_of[index]
+        if label < 0:
+            return self._component_total
+        return self._component_total - self._component_delay[label]
 
     def neighbors_in_cut(self, index: int) -> int:
         return popcount(self.index.neighbor_mask[index] & self.cut_mask)
@@ -318,7 +416,7 @@ class PartitionState:
         the node's parents and is exact unless the new node bridges two
         previously independent chains below it.  For removals the estimate
         subtracts the node's delay only when it currently terminates the
-        critical path.  Committed toggles always recompute exactly.
+        critical path.  Committed toggles always keep it exact.
         """
         hw = self._hw_table[index]
         if not self.in_cut(index):
@@ -349,7 +447,8 @@ class PartitionState:
     def exact_merit_if_toggled(self, index: int) -> int:
         """Exact merit of the hypothetical cut (toggle / measure / restore).
 
-        Costs a full O(|cut|) recomputation; used when
+        Costs two committed toggles, each touching the node's cut
+        descendants and its component; used when
         ``ISEGenConfig.exact_candidate_merit`` is set and by the tests that
         bound the estimation error.
         """

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 import time
 
 from ..sweep.costmodel import cost_key
@@ -35,6 +36,7 @@ from ..sweep.filequeue import CellTask
 from ..sweep.hashing import cell_key, qualified_name, sweep_salt
 from ..sweep.orchestrator import CachedExecutor, MissingCellsError, SweepDirectory
 from ..sweep.registry import sweep_spec
+from ..sweep.storage import StorageBackend
 from .jobspec import JobSpec, ServiceError, build_cells, validate_job
 
 #: Client identifiers are storage path segments — keep them boring.
@@ -46,6 +48,9 @@ TERMINAL_STATES = ("done", "failed")
 
 #: Upper bound on records returned by a job listing.
 MAX_LISTED_JOBS = 200
+
+#: Upper bound on the per-client record namespaces a manager keeps built.
+MAX_CACHED_SPACES = 1024
 
 
 def check_client(client: str) -> str:
@@ -72,6 +77,10 @@ class JobManager:
         self.salt = salt if salt is not None else sweep_salt()
         self.clock = clock
         self._jobs = directory.storage.sub("service").sub("jobs")
+        #: Per-client record namespaces, oldest first (built once each:
+        #: a local backend's constructor makes its directory).
+        self._spaces: dict[str, StorageBackend] = {}
+        self._spaces_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Records
@@ -80,8 +89,16 @@ class JobManager:
     def _record_key(job_id: str) -> str:
         return f"{job_id}.json"
 
-    def _space(self, client: str):
-        return self._jobs.sub(check_client(client))
+    def _space(self, client: str) -> StorageBackend:
+        # Handler threads share the memo: evicting iterates it.
+        with self._spaces_lock:
+            space = self._spaces.get(client)
+            if space is None:
+                space = self._jobs.sub(check_client(client))
+                if len(self._spaces) >= MAX_CACHED_SPACES:
+                    del self._spaces[next(iter(self._spaces))]
+                self._spaces[client] = space
+        return space
 
     def _load(self, client: str, job_id: str) -> dict:
         if not re.fullmatch(r"[0-9a-f]{16}", job_id or ""):
@@ -149,9 +166,7 @@ class JobManager:
             "cached_at_submit": cached,
             "enqueued": enqueued,
         }
-        self._space(client).put_text(
-            self._record_key(job_id), json.dumps(record, indent=1)
-        )
+        self._space(client).put_text(self._record_key(job_id), json.dumps(record))
         return {
             "job_id": job_id,
             "kind": spec.kind,

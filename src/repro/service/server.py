@@ -36,6 +36,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
@@ -62,7 +63,7 @@ class Route:
     name: str  # handler attr on _ServiceHandler and span suffix
     description: str
 
-    @property
+    @cached_property
     def regex(self) -> re.Pattern:
         pattern = re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", self.template)
         return re.compile(f"^{pattern}$")
@@ -125,7 +126,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------
     def _reply_json(self, status: int, payload, headers: dict | None = None):
-        body = json.dumps(payload, indent=1).encode() + b"\n"
+        # Compact output: an ``indent`` would force the pure-Python encoder.
+        body = json.dumps(payload).encode() + b"\n"
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         for name, value in (headers or {}).items():

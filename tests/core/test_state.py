@@ -10,6 +10,9 @@ from repro.dfg import count_io, is_convex
 from repro.errors import ISEGenError
 from repro.hwmodel import LatencyModel
 from repro.merit import MeritFunction
+from repro.workloads import build_aes_block
+
+from oracles.partition import changed_paths, recompute
 
 
 def test_initial_state_is_empty_and_legal(mac_chain_dfg, paper_constraints):
@@ -157,3 +160,31 @@ def test_neighbors_in_cut(diamond_dfg, paper_constraints):
     state.toggle(n3)
     assert state.neighbors_in_cut(n1) == 2
     assert state.neighbors_in_cut(n0) == 0
+
+
+def test_incremental_state_matches_full_recompute_on_aes_block(paper_constraints):
+    """Random toggles on the 696-node AES block build scattered cuts with
+    many components that merge and split; the incremental state must stay
+    equal to a full recompute throughout."""
+    dfg = build_aes_block()
+    state = PartitionState(dfg, paper_constraints)
+    toggleable = [index for index in range(dfg.num_nodes) if state.is_allowed(index)]
+    rng = random.Random(7)
+    for step in range(1200):
+        if step % 40 == 0:
+            before = recompute(dfg, state.cut_mask, state._hw_table)
+        index = rng.choice(toggleable)
+        state.toggle(index)
+        if step % 40 == 0:
+            after = recompute(dfg, state.cut_mask, state._hw_table)
+            assert state.path_changed == changed_paths(before, after)
+            assert state._path_end == [
+                after.path_end.get(node, 0.0) for node in range(dfg.num_nodes)
+            ]
+            assert state._top_path == after.top_path
+            assert state.component_delays() == after.component_delays
+            for node in range(dfg.num_nodes):
+                assert state.other_components_delay(node) == (
+                    after.other_components_delay(node)
+                )
+    assert len(state.component_delays()) > 20

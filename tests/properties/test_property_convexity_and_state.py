@@ -14,6 +14,8 @@ from repro.dfg import (
 from repro.hwmodel import ISEConstraints
 from repro.merit import MeritFunction
 
+from oracles.partition import changed_paths, recompute
+
 from .strategies import graphs_with_subsets, toggle_sequences
 
 CONSTRAINTS = ISEConstraints(max_inputs=4, max_outputs=2, max_ises=4)
@@ -93,3 +95,30 @@ def test_hypothetical_convexity_matches_committed_toggle(case):
             # it may claim non-convexity even if the toggle repairs the cut.
             assert predicted in (False, actual)
         state.toggle(index)
+
+
+@given(toggle_sequences(max_nodes=15, max_toggles=40))
+@settings(max_examples=150, deadline=None)
+def test_incremental_paths_and_components_match_full_recompute(case):
+    """After every toggle the incremental critical path and components equal
+    a from-scratch recompute, bit for bit, and the published changed mask is
+    exactly the recompute's before/after diff."""
+    dfg, sequence = case
+    state = PartitionState(dfg, CONSTRAINTS)
+    hw_table = [state.latency_model.node_hardware_delay(dfg, i) for i in range(dfg.num_nodes)]
+    before = recompute(dfg, state.cut_mask, hw_table)
+    for index in sequence:
+        if not state.is_allowed(index):
+            continue
+        state.toggle(index)
+        after = recompute(dfg, state.cut_mask, hw_table)
+        assert state._path_end == [
+            after.path_end.get(node, 0.0) for node in range(dfg.num_nodes)
+        ]
+        assert state.hardware_delay == after.hardware_delay
+        assert state._top_path == after.top_path
+        assert state.component_delays() == after.component_delays
+        for node in range(dfg.num_nodes):
+            assert state.other_components_delay(node) == after.other_components_delay(node)
+        assert state.path_changed == changed_paths(before, after)
+        before = after

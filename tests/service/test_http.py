@@ -9,14 +9,16 @@ injected faults) where the scenario needs one.
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro import telemetry
-from repro.service import IseService, ServiceClient, ServiceConfig, ServiceClientError
+from repro.service import IseService, ServiceClient, ServiceConfig, ServiceClientError, jobs
 from repro.service.jobspec import run_workload_cell
 from repro.sweep import SweepDirectory
 from repro.sweep.hashing import SweepError
@@ -129,6 +131,37 @@ def test_job_records_are_namespace_isolated(service):
     assert job_id in [item["job_id"] for item in alice.jobs()["jobs"]]
 
 
+def test_record_namespaces_are_memoized_and_bounded(tmp_path, monkeypatch):
+    """Handler threads share the per-client namespace memo: under contention
+    it must neither raise nor outgrow its bound."""
+    monkeypatch.setattr(jobs, "MAX_CACHED_SPACES", 2)
+    manager = jobs.JobManager(SweepDirectory(tmp_path / "sweep"))
+    assert manager._space("alice") is manager._space("alice")
+    clients = [f"client{number}" for number in range(32)]
+    errors: list[Exception] = []
+
+    def churn(offset: int) -> None:
+        try:
+            for step in range(3000):
+                manager._space(clients[(offset + step) % len(clients)])
+        except Exception as error:  # noqa: BLE001 - collected for the assert
+            errors.append(error)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn, args=(k,)) for k in range(12)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(manager._spaces) <= 2
+
+
 def test_catalog_and_health_endpoints(service, client):
     health = client.health()
     assert health["ok"] and health["local_workers"] == 1
@@ -157,11 +190,17 @@ def test_request_spans_reach_the_trace_stream(service, tmp_path):
     telemetry.configure(trace_path, flush_every=1)
     try:
         ServiceClient(service.endpoint, client_id="alice").health()
-        telemetry.flush()
-        names = [
-            json.loads(line).get("name")
-            for line in trace_path.read_text().splitlines()
-        ]
+        # The handler records its span on leaving the span block, after the
+        # reply has gone out, so poll for it instead of reading once.
+        deadline = time.monotonic() + 10.0
+        names: list[str] = []
+        while "service.health" not in names and time.monotonic() < deadline:
+            time.sleep(0.01)
+            telemetry.flush()
+            if trace_path.exists():
+                text = trace_path.read_text()
+                complete = text[: text.rfind("\n") + 1]
+                names = [json.loads(line).get("name") for line in complete.splitlines()]
         assert "service.health" in names
     finally:
         telemetry.configure(None)
