@@ -20,7 +20,10 @@ Asserted invariants:
   ``enqueued == 0``, and the service metrics count it under
   ``jobs.served_from_cache``;
 * SIGTERM shuts the server down cleanly (exit 0) with no stranded
-  queue lease.
+  queue lease;
+* a second server with one embedded worker (``--local-workers 1``)
+  answers a cold one-cell job waited on with ``/wait?poll=2.0`` in under
+  a second: the worker's completion wakes the wait, no poll tick passes.
 
 Usage::
 
@@ -62,13 +65,22 @@ def strip_timing(rows):
     ]
 
 
-def start_server(shared: Path, env: dict) -> tuple[subprocess.Popen, str]:
+#: The embedded-worker leg's cold job: one cheap conven00 cell.
+COLD_JOB = {
+    "workload": "conven00",
+    "constraints": {"max_inputs": 2, "max_outputs": 1, "max_ises": 1},
+}
+
+
+def start_server(
+    shared: Path, env: dict, *extra: str
+) -> tuple[subprocess.Popen, str]:
     """Launch ``repro serve`` on an ephemeral port; return (process, URL)."""
     process = subprocess.Popen(
         [
             sys.executable, "-u", "-m", "repro.cli", "serve",
             "--dir", str(shared), "--port", "0", "--lease", str(LEASE),
-            "--quota-rps", "500", "--quota-burst", "1000",
+            "--quota-rps", "500", "--quota-burst", "1000", *extra,
         ],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
@@ -82,6 +94,45 @@ def start_server(shared: Path, env: dict) -> tuple[subprocess.Popen, str]:
         if match:
             return process, match.group(1)
     raise AssertionError("serve never announced its endpoint")
+
+
+def stop_server(server: subprocess.Popen) -> None:
+    """SIGTERM the server, echo the rest of its output, assert exit 0."""
+    if server.poll() is None:
+        server.send_signal(signal.SIGTERM)
+        try:
+            server.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            server.kill()
+            server.wait(timeout=60)
+    tail = server.stdout.read()
+    if tail:
+        for line in tail.splitlines():
+            print(f"[serve] {line}", flush=True)
+    assert server.returncode == 0, f"serve exited {server.returncode}"
+
+
+def embedded_worker_leg(workdir: Path, env: dict) -> float:
+    """One cold job against ``serve --local-workers 1``: the embedded
+    worker's completion must wake ``/wait`` well inside its 2 s poll."""
+    shared = workdir / "embedded"
+    server, base_url = start_server(shared, env, "--local-workers", "1")
+    try:
+        client = ServiceClient(base_url, client_id="e2e")
+        submitted = client.submit(COLD_JOB)
+        assert submitted["enqueued"] == 1, f"not a cold job: {submitted}"
+        final = client.wait(submitted["job_id"], timeout=60, poll=2.0)
+        assert final["state"] == "done", final
+        assert final["waited_s"] < 1.0, (
+            f"/wait took {final['waited_s']}s: the completion did not wake it"
+        )
+        (row,) = client.result(submitted["job_id"])["rows"]
+        assert row["program"] == "conven00", row
+    finally:
+        stop_server(server)
+    assert SweepDirectory(shared).queue.claimed_keys() == [], "stranded lease"
+    print(f"[embedded] cold job waited {final['waited_s']}s at poll=2.0", flush=True)
+    return final["waited_s"]
 
 
 def worker_command(shared: Path) -> list[str]:
@@ -194,25 +245,16 @@ def main() -> int:
         assert metrics.get("jobs.served_from_cache", 0) >= 1, metrics
         assert metrics.get("cells.served_from_store", 0) >= 4, metrics
     finally:
-        if server.poll() is None:
-            server.send_signal(signal.SIGTERM)
-            try:
-                server.wait(timeout=60)
-            except subprocess.TimeoutExpired:
-                server.kill()
-                server.wait(timeout=60)
-        tail = server.stdout.read()
-        if tail:
-            for line in tail.splitlines():
-                print(f"[serve] {line}", flush=True)
-
-    assert server.returncode == 0, f"serve exited {server.returncode}"
+        stop_server(server)
     assert directory.queue.claimed_keys() == [], "shutdown stranded a lease"
+
+    waited = embedded_worker_leg(workdir, env)
     print(
         "service-e2e OK: figure6 job over HTTP with 2 CLI workers "
         "(one SIGKILLed mid-job) matches the serial harness, identical "
         "resubmission served entirely from the result store, clean SIGTERM "
-        "shutdown with no stranded lease",
+        "shutdown with no stranded lease; an embedded worker's cold job "
+        f"waited {waited}s at poll=2.0",
         flush=True,
     )
     return 0

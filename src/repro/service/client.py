@@ -1,20 +1,30 @@
 """Stdlib client for the service API (the ``repro client`` subcommand).
 
 Same transport discipline as
-:class:`~repro.sweep.objectstore.ObjectStoreBackend`: ``urllib`` only,
-bounded retries with exponential backoff on 5xx/connection errors, 4xx
-raised immediately as :class:`ServiceClientError`.  A ``Retry-After``
+:class:`~repro.sweep.objectstore.ObjectStoreBackend`: stdlib only,
+bounded retries with exponential backoff on 5xx and on failures to
+connect or send, 4xx raised immediately as :class:`ServiceClientError`.
+A request that was sent but got no reply (a read timeout, a reset) is
+not retried: the server may be acting on it.  A ``Retry-After``
 header (the server sends one with every 429/503) overrides the backoff
 for that attempt, so a quota'd client waits exactly as long as the
 server asked, never longer.
+
+Each thread keeps one ``http.client`` connection open across requests,
+so a job's submit, wait and result cost one TCP connect between them
+instead of one each.  ``http.client`` sets ``TCP_NODELAY`` on it, as the
+server does on its end: without that, a kept-alive request stalls on
+Nagle's algorithm plus the peer's delayed ACK.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import threading
 import time
-from urllib.error import HTTPError, URLError
-from urllib.request import Request, urlopen
+from urllib.parse import urlsplit
 
 from ..errors import ReproError
 from .jobs import DEFAULT_CLIENT, TERMINAL_STATES
@@ -23,6 +33,21 @@ DEFAULT_RETRIES = 5
 DEFAULT_BACKOFF = 0.2
 #: Ceiling on a single server-directed Retry-After pause.
 MAX_RETRY_AFTER = 30.0
+
+
+class _Unsent(Exception):
+    """A request that never reached the server: connecting or sending
+    failed (the cause is chained)."""
+
+
+def _readable(sock) -> bool:
+    """Whether an idle kept-alive socket has turned readable: the server
+    closed it (or sent bytes nobody asked for), so it must not carry
+    another request."""
+    try:
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):
+        return True
 
 
 class ServiceClientError(ReproError):
@@ -53,49 +78,97 @@ class ServiceClient:
         self.retries = max(1, int(retries))
         self.backoff = backoff
         self._sleep = sleep
+        parts = urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ReproError(f"service URL must be http(s)://host[:port]: {base_url!r}")
+        self._connection_class = (
+            http.client.HTTPSConnection
+            if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc, self._prefix = parts.netloc, parts.path
+        self._local = threading.local()
 
     # -- transport -----------------------------------------------------
+    def _round_trip(self, method: str, target: str, body, headers: dict):
+        """One request on this thread's kept-alive connection.
+
+        Raises :class:`_Unsent` when connecting or sending fails: the
+        server never read the request, so the caller may retry it.  A
+        failure after the send (a read timeout, a reset) propagates at
+        once, since the server may be acting on the request.  A connection
+        the server closed while idle (past its request timeout) is
+        replaced before the send; should it close just as a request goes
+        out, the request is re-sent at once on a fresh connection if it
+        never left, or if it is a GET.
+        """
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._connection_class(self._netloc, timeout=self.timeout)
+            self._local.connection = connection
+        while True:
+            if connection.sock is not None and _readable(connection.sock):
+                connection.close()  # the server closed it: open another
+            reused = connection.sock is not None
+            try:
+                connection.request(method, target, body=body, headers=headers)
+            except (http.client.HTTPException, OSError) as error:
+                connection.close()
+                if reused:
+                    continue
+                raise _Unsent() from error
+            try:
+                response = connection.getresponse()
+                return response.status, response.headers, response.read()
+            except (http.client.HTTPException, OSError) as error:
+                connection.close()
+                if reused and method == "GET" and isinstance(error, ConnectionError):
+                    continue
+                raise
+
     def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
         body = json.dumps(payload).encode() if payload is not None else None
         headers = {"X-Client": self.client_id, "Accept": "application/json"}
         if body is not None:
             headers["Content-Type"] = "application/json"
-        last_error: Exception | None = None
+        last_error: object = None
         for attempt in range(self.retries):
-            request = Request(
-                f"{self.base_url}{path}", data=body, headers=headers, method=method
-            )
             pause = self.backoff * (2**attempt)
             try:
-                with urlopen(request, timeout=self.timeout) as response:
-                    return json.loads(response.read() or b"{}")
-            except HTTPError as error:
-                raw = error.read()
+                status, reply_headers, raw = self._round_trip(
+                    method, self._prefix + path, body, headers
+                )
+            except _Unsent as unsent:
+                last_error = unsent.__cause__
+            else:
+                if status < 400:
+                    return json.loads(raw or b"{}")
                 try:
                     decoded = json.loads(raw) if raw else {}
                 except ValueError:
                     decoded = {"error": raw.decode(errors="replace")}
-                retry_after = error.headers.get("Retry-After")
-                if error.code in (429, 503) or error.code >= 500:
-                    last_error = error
-                    if retry_after is not None:
-                        try:
-                            pause = min(float(retry_after), MAX_RETRY_AFTER)
-                        except ValueError:
-                            pass
-                else:
-                    raise ServiceClientError(
-                        error.code,
-                        str(decoded.get("error", error.reason)),
-                        decoded,
-                    ) from None
-            except URLError as error:
-                last_error = error
+                message = str(decoded.get("error", f"HTTP {status}"))
+                if status < 500 and status != 429:
+                    raise ServiceClientError(status, message, decoded)
+                last_error = f"HTTP {status}: {message}"
+                retry_after = reply_headers.get("Retry-After")
+                if retry_after is not None:
+                    try:
+                        pause = min(float(retry_after), MAX_RETRY_AFTER)
+                    except ValueError:
+                        pass
             self._sleep(pause)
         raise ReproError(
             f"service request {method} {path} failed after "
             f"{self.retries} attempt(s): {last_error}"
         )
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next request opens
+        another)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
 
     # -- API -----------------------------------------------------------
     def health(self) -> dict:

@@ -146,12 +146,15 @@ class JobManager:
                     "func": qualified_name(cell.func),
                     "salt": self.salt,
                     "cost_key": cost_key(cell),
+                    "enqueued_at": time.time(),
                 },
             )
             if self.directory.queue.enqueue(task):
                 enqueued += 1
             else:
                 already_queued += 1
+        if enqueued:
+            self.directory.notify_change()
         job_id = os.urandom(8).hex()
         record = {
             "id": job_id,
@@ -190,10 +193,14 @@ class JobManager:
         ``sweep status``), so a dead worker's cells return to pending even
         when no worker is polling.
         """
-        record = self._load(client, job_id)
+        return self._status(job_id, self._load(client, job_id))[0]
+
+    def _status(self, job_id: str, record: dict) -> tuple[dict, set[str]]:
+        """:meth:`status` of a loaded record, plus its unstored cell keys."""
         keys = set(record["keys"])
         self.directory.queue.requeue_expired()
-        done = len(self.directory.store.contains_many(list(keys)))
+        stored = self.directory.store.contains_many(list(keys))
+        done = len(stored)
         pending = len(keys & set(self.directory.queue.pending_keys()))
         claimed = len(keys & set(self.directory.queue.claimed_keys()))
         failed = sorted(keys & set(self.directory.queue.failed_keys()))
@@ -226,7 +233,7 @@ class JobManager:
         }
         if failures:
             status["failures"] = failures
-        return status
+        return status, keys - stored
 
     def wait(
         self,
@@ -235,23 +242,40 @@ class JobManager:
         *,
         timeout: float,
         poll_interval: float = 0.25,
-        sleep=time.sleep,
     ) -> dict:
         """Long-poll: block until the job reaches a terminal state.
+
+        Between status checks the wait blocks on the sweep directory's
+        change signal, so a cell that a worker of this process finishes
+        wakes it at once.  A wake-up only consults the signal's log of
+        stored cells; the full status check runs again once all of the
+        job's cells are stored, or after *poll_interval*: that is how soon
+        a cell finished by another process (a CLI worker fleet, a shared
+        ``s3://`` queue) or a failed cell is seen.
 
         Returns the final status dict plus ``waited_s`` and ``timed_out``
         — a timeout is a normal 200 whose body says the job is still
         going, not an error.
         """
+        record = self._load(client, job_id)
         started = time.monotonic()
         while True:
-            status = self.status(client, job_id)
+            # Read before the check: a cell stored in between is announced
+            # after *seen*, so the wait below does not miss it.
+            seen = self.directory.generation
+            status, unstored = self._status(job_id, record)
             waited = time.monotonic() - started
             if status["state"] in TERMINAL_STATES or waited >= timeout:
                 status["waited_s"] = round(waited, 3)
                 status["timed_out"] = status["state"] not in TERMINAL_STATES
                 return status
-            sleep(min(poll_interval, max(0.0, timeout - waited)))
+            deadline = time.monotonic() + min(poll_interval, timeout - waited)
+            while unstored and time.monotonic() < deadline:
+                self.directory.wait_for_change(seen, deadline - time.monotonic())
+                seen, stored = self.directory.stored_since(seen)
+                if stored is None:
+                    break  # the log has moved on: check the store itself
+                unstored -= stored
 
     # ------------------------------------------------------------------
     # Results

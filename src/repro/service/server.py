@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -108,12 +109,28 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, service: "IseService"):
         super().__init__(address, _ServiceHandler)
         self.service = service
+        #: Client sockets held open between requests (HTTP/1.1 keep-alive).
+        self.connections: set[socket.socket] = set()
+        self.connections_lock = threading.Lock()
+
+    def server_close(self):
+        super().server_close()
+        # A kept-alive connection would otherwise go on being served.
+        with self.connections_lock:
+            for connection in self.connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
     """One JSON request against the service's route table."""
 
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in separate sends: with Nagle on, a kept-alive
+    # client's next request would wait out the peer's delayed ACK.
+    disable_nagle_algorithm = True
     server: _ServiceHTTPServer
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -121,8 +138,20 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def setup(self):
         super().setup()
-        # Request read timeout: a stalled client must not pin a thread.
+        # Request read timeout: a stalled client must not pin a thread, and
+        # an idle kept-alive connection is closed after it.
         self.connection.settimeout(self.server.service.config.request_timeout)
+        with self.server.connections_lock:
+            self.server.connections.add(self.connection)
+
+    def finish(self):
+        with self.server.connections_lock:
+            self.server.connections.discard(self.connection)
+        super().finish()
+
+    def parse_request(self) -> bool:
+        self._body_read = False  # one handler serves a connection's requests
+        return super().parse_request()
 
     # -- plumbing ------------------------------------------------------
     def _reply_json(self, status: int, payload, headers: dict | None = None):
@@ -130,6 +159,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         body = json.dumps(payload).encode() + b"\n"
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        if not self._body_read and self.headers.get("Content-Length", "0") != "0":
+            # Replying before reading the body (a 429, 404, 413...): its
+            # bytes would be parsed as the next request on this connection.
+            self.send_header("Connection", "close")
         for name, value in (headers or {}).items():
             self.send_header(name, str(value))
         self.send_header("Content-Length", str(len(body)))
@@ -159,6 +192,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 status=413,
             )
         raw = self.rfile.read(length) if length else b""
+        self._body_read = True
         if not raw:
             raise ServiceError("request body must be a JSON object")
         try:

@@ -9,7 +9,8 @@ lives under one **sweep directory** that may be shared between machines::
         store/        content-addressed result records (the cache)
         queue/        FileQueue work directories (pending/claimed/leases/failed)
         manifests/    <name>.json — ordered cell keys + options per sweep
-        telemetry/    <worker>.jsonl — per-worker fleet telemetry logs
+        telemetry/    <worker>.jsonl (+ <worker>/<seq>.jsonl segments) —
+                      per-worker fleet telemetry logs
 
 The store and manifests speak the pluggable
 :class:`~repro.sweep.storage.StorageBackend` protocol: by default both
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..parallel import ParallelJob, _execute_timed, resolve_schedule
-from ..telemetry import Histogram, StorageSink, Tracer
+from ..telemetry import Histogram, StorageSink, Tracer, storage_logs
 from ..telemetry.report import parse_event_lines
 from .backends import ExecutorBackend, FileQueueBackend
 from .costmodel import cost_key, cost_model_for
@@ -163,6 +164,14 @@ class _SubmitExecutor(CachedExecutor):
 # ----------------------------------------------------------------------
 # The sweep directory
 # ----------------------------------------------------------------------
+#: How soon an idle wait notices a set stop event (the event itself cannot
+#: wake the directory's condition).
+STOP_CHECK_SECONDS = 0.05
+
+#: Stored-cell announcements a sweep directory keeps for its waiters.
+STORED_LOG = 1024
+
+
 @dataclass
 class SweepDirectory:
     """Paths + handles of one (possibly shared) sweep directory.
@@ -177,6 +186,17 @@ class SweepDirectory:
     *root* by default, or wherever *store_url* points (``file://``,
     ``mem://``, ``s3://``).  With both URLs on one bucket, a fleet
     coordinates through nothing but that bucket.
+
+    The directory object also carries a process-local **change signal**: a
+    generation counter under a :class:`threading.Condition`, bumped by
+    :meth:`notify_change` after an enqueue, a completion or a failure made
+    through this object.  Waiters in the same process (an idle embedded
+    worker, a service ``/wait``) block in :meth:`wait_for_change` and wake
+    at once; writers in other processes cannot reach it, so every wait
+    keeps its poll interval as the timeout.  A completion also names its
+    cell in a bounded log (:meth:`stored_since`), so a waiter that only
+    needs to know whether *its* cells are stored learns it without
+    touching the queue or the store.  The signal is never pickled.
     """
 
     root: Path
@@ -209,6 +229,74 @@ class SweepDirectory:
                 lease_seconds=self.lease_seconds,
                 max_attempts=self.max_attempts,
             )
+        self._reset_signal()
+
+    def _reset_signal(self) -> None:
+        self._changed = threading.Condition()
+        self._generation = 0
+        #: (generation, key) per announced stored cell, oldest first.
+        self._stored: list[tuple[int, str]] = []
+        self._forgotten = 0  # generation of the newest entry trimmed off
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name in ("_changed", "_generation", "_stored", "_forgotten"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset_signal()
+
+    # -- the in-process change signal ------------------------------------
+    @property
+    def generation(self) -> int:
+        """How many changes this object has announced.  Read it *before*
+        looking at the queue or store, then pass it to
+        :meth:`wait_for_change`: a change that lands in between is not
+        lost."""
+        return self._generation
+
+    def notify_change(self, stored: Sequence[str] = ()) -> None:
+        """Wake every in-process waiter: the queue or the store changed.
+        *stored* names the cells whose results were just stored."""
+        with self._changed:
+            self._generation += 1
+            self._stored += [(self._generation, key) for key in stored]
+            excess = len(self._stored) - STORED_LOG
+            if excess > 0:
+                self._forgotten = self._stored[excess - 1][0]
+                del self._stored[:excess]
+            self._changed.notify_all()
+
+    def stored_since(self, seen: int) -> tuple[int, set[str] | None]:
+        """The current generation, and the cells announced as stored after
+        generation *seen* -- or None in their place when the log no longer
+        reaches back that far."""
+        with self._changed:
+            if seen < self._forgotten:
+                return self._generation, None
+            keys = set()
+            for generation, key in reversed(self._stored):
+                if generation <= seen:
+                    break
+                keys.add(key)
+            return self._generation, keys
+
+    def wait_for_change(
+        self, seen: int, timeout: float, stop: "threading.Event | None" = None
+    ) -> None:
+        """Block until the generation moves past *seen*, *timeout* seconds
+        pass, or *stop* is set."""
+        deadline = time.monotonic() + timeout
+        with self._changed:
+            while self._generation == seen and not (stop is not None and stop.is_set()):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return
+                if stop is not None:
+                    remaining = min(remaining, STOP_CHECK_SECONDS)
+                self._changed.wait(remaining)
 
     @staticmethod
     def _manifest_key(name: str) -> str:
@@ -351,10 +439,13 @@ def submit(
         order = sorted(range(len(to_enqueue)), key=lambda i: (-costs[i], i))
         to_enqueue = [to_enqueue[i] for i in order]
     for task in to_enqueue:
+        task.meta["enqueued_at"] = time.time()
         if directory.queue.enqueue(task):
             enqueued += 1
         else:
             already_queued += 1
+    if enqueued:
+        directory.notify_change()
     return SubmitReport(
         name=name,
         total=len(seen),
@@ -442,24 +533,33 @@ def worker_loop(
     event is checked **between claim batches only** — a batch already
     claimed runs to completion and every one of its leases is completed
     or released before the loop returns, so stopping never strands a
-    lease for peers to recover.  Idle sleeps wait on the event, so a
-    stop request interrupts the backoff immediately.
+    lease for peers to recover.  An idle wait notices a stop request
+    within :data:`STOP_CHECK_SECONDS`, however long its backoff.
 
     Tasks are claimed in batches (:meth:`FileQueue.claim_batch` — one
     pending/ listing per batch instead of per cell).  *claim_batch* fixes
     the batch size; the default ``None`` adapts it: start at 1, double up
     to :data:`MAX_CLAIM_BATCH` while the queue keeps filling the batch,
     snap back to 1 on a short batch — a deep queue amortizes the listing,
-    a draining queue is not hoarded.  Idle polls back off exponentially
-    from *poll_interval* up to *max_poll_interval* (default: a fraction of
-    the lease period, capped at 5s) and reset the moment a claim lands.
+    a draining queue is not hoarded.  An idle worker waits on the
+    directory's change signal (:meth:`SweepDirectory.wait_for_change`), so
+    an enqueue made through the same directory object wakes it at once.
+    The wait's timeout is the fallback for enqueues from other processes:
+    it backs off exponentially from *poll_interval* up to
+    *max_poll_interval* (default: a fraction of the lease period, capped
+    at 5s) and resets the moment a claim lands.
 
-    Every worker also keeps a **fleet telemetry** log — one
-    ``telemetry/<worker>.jsonl`` blob on the sweep's storage backend with a
-    ``sweep.cell`` span per executed cell plus lease-renewal / requeue /
-    failure events.  It is always on (a few tiny blob writes per cell, far
-    below cell cost) and is what ``sweep status --telemetry`` reads; the
-    blob's newest timestamp doubles as the worker's last-seen heartbeat.
+    Every worker also keeps a **fleet telemetry** log on the sweep's
+    storage backend — ``telemetry/<worker>.jsonl`` and, past one segment,
+    ``telemetry/<worker>/<seq>.jsonl`` (see
+    :class:`~repro.telemetry.spans.StorageSink`) — with a ``sweep.cell``
+    span per executed cell plus lease-renewal / requeue / failure events.
+    A cell's span and store record carry ``queue_wait_s``, its claim time
+    minus the ``enqueued_at`` that ``submit`` stamps into the task's meta,
+    on the first attempt only.
+    The log is always on (a few bounded blob writes per cell, far below
+    cell cost) and is what ``sweep status --telemetry`` reads; its newest
+    timestamp doubles as the worker's last-seen heartbeat.
     This channel is separate from the ``ISEGEN_TRACE`` span tracer, which
     (when enabled) still records the in-cell engine spans.
     """
@@ -506,18 +606,16 @@ def worker_loop(
                 # execute: claimed-but-abandoned tasks would sit out a full
                 # lease period before another worker could recover them.
                 want = min(want, max_tasks - (report.executed + report.failed))
+            seen = directory.generation
             batch = queue.claim_batch(want, worker=worker)
             if not batch:
                 if exit_when_idle and queue.is_idle():
                     return report
                 if adaptive:
                     batch_target = 1
-                wait = idle.step()
-                if stop is not None:
-                    stop.wait(wait)
-                else:
-                    time.sleep(wait)
+                directory.wait_for_change(seen, idle.step(), stop)
                 continue
+            claimed_at = time.time()
             idle.reset()
             fleet.event(
                 "queue.claimed",
@@ -574,20 +672,30 @@ def worker_loop(
             heartbeat.start()
             try:
                 for task in batch:
+                    enqueued_at = task.meta.get("enqueued_at")
+                    waited = (
+                        # Clamped: the enqueuing host's clock may run ahead.
+                        {"queue_wait_s": round(max(0.0, claimed_at - enqueued_at), 6)}
+                        # A retried task keeps its first enqueue's stamp, so
+                        # its wait would count the earlier attempts.
+                        if enqueued_at is not None and task.attempt == 1
+                        else {}
+                    )
                     try:
                         # Route through the shared cell wrapper so the
                         # ISEGEN_TRACE channel gets the same
                         # ``experiment.cell`` span whether the cell ran
                         # serially, in a pool worker, or on the sweep fleet.
                         # The fleet span carries the queue-side identity
-                        # (key, attempt) and flips to error=True when the
-                        # cell raises.
+                        # (key, attempt, queue wait) and flips to error=True
+                        # when the cell raises.
                         with fleet.span(
                             "sweep.cell",
                             {
                                 "key": task.key,
                                 "attempt": task.attempt,
                                 "func": task.meta.get("func", "?"),
+                                **waited,
                             },
                         ):
                             result, seconds = _execute_timed(task.cell)
@@ -598,6 +706,7 @@ def worker_loop(
                         queue.release_failed(
                             task, f"{type(error).__name__}: {error}", worker
                         )
+                        directory.notify_change()
                         report.failed += 1
                         fleet.event(
                             "cell.failed",
@@ -616,10 +725,12 @@ def worker_loop(
                                 "worker": worker,
                                 "attempt": task.attempt,
                                 "runtime_s": round(seconds, 6),
+                                **waited,
                                 **task.meta,
                             },
                         )
                         queue.complete(task)
+                        directory.notify_change([task.key])
                         report.executed += 1
                         if on_task is not None:
                             on_task(task)
@@ -720,6 +831,9 @@ class WorkerTelemetry:
     cell_seconds: Histogram = field(
         default_factory=lambda: Histogram(name="sweep.cell.seconds")
     )
+    queue_wait_seconds: Histogram = field(
+        default_factory=lambda: Histogram(name="sweep.queue_wait.seconds")
+    )
 
     def observe(self, ts: float | None) -> None:
         if ts is None:
@@ -745,7 +859,8 @@ class WorkerTelemetry:
 def fleet_telemetry(
     directory: SweepDirectory, *, now: float | None = None
 ) -> list[WorkerTelemetry]:
-    """Parse every worker's telemetry blob into per-worker aggregates.
+    """Parse every worker's telemetry log (all its segments) into
+    per-worker aggregates.
 
     Workers that never wrote telemetry but show up as lease losers in
     *other* workers' requeue events still get a row (with
@@ -762,17 +877,15 @@ def fleet_telemetry(
             telem = workers[name] = WorkerTelemetry(worker=name)
         return telem
 
-    for key in sorted(storage.list_keys()):
-        if not key.endswith(".jsonl") or "/" in key:
-            continue
-        name = key[: -len(".jsonl")]
-        telem = entry(name)
-        try:
-            events, _skipped = parse_event_lines(
-                storage.get_text(key).splitlines()
-            )
-        except KeyError:  # pragma: no cover - deleted between list and read
-            continue
+    for key, segments in sorted(storage_logs(storage).items()):
+        telem = entry(key[: -len(".jsonl")])
+        lines: list[str] = []
+        for segment in segments:
+            try:
+                lines += storage.get_text(segment).splitlines()
+            except KeyError:  # pragma: no cover - deleted between list and read
+                continue
+        events, _skipped = parse_event_lines(lines)
         for record in events:
             ts = record.get("ts")
             ts = float(ts) if isinstance(ts, (int, float)) else None
@@ -783,6 +896,9 @@ def fleet_telemetry(
                 telem.observe((ts or 0.0) + duration if ts is not None else None)
                 telem.cells += 1
                 telem.cell_seconds.observe(duration)
+                queue_wait = (record.get("attrs") or {}).get("queue_wait_s")
+                if isinstance(queue_wait, (int, float)):
+                    telem.queue_wait_seconds.observe(float(queue_wait))
                 if record.get("error"):
                     telem.failed += 1
             elif kind == "event":
@@ -835,6 +951,10 @@ def format_fleet_lines(
                     telem.cell_seconds.percentile(90.0),
                     telem.cell_seconds.max,
                 )
+            )
+        if telem.queue_wait_seconds.count:
+            parts.append(
+                f"queue wait p50 {telem.queue_wait_seconds.percentile(50.0):.3f}s"
             )
         parts.append(f"{telem.renewals} lease renewal(s)")
         if telem.requeues_recovered:

@@ -47,6 +47,7 @@ from .spans import (
     maybe_configure_from_env,
     shutdown,
     span,
+    storage_logs,
     tracing_enabled,
 )
 
@@ -80,5 +81,6 @@ __all__ = [
     "maybe_configure_from_env",
     "shutdown",
     "span",
+    "storage_logs",
     "tracing_enabled",
 ]

@@ -111,27 +111,55 @@ class FileSink:
         return str(self.path)
 
 
-class StorageSink:
-    """Write the full event log as one blob through a ``StorageBackend``.
+#: Lines per :class:`StorageSink` segment.
+SEGMENT_LINES = 256
 
-    Object stores have no append, so every flush rewrites the blob via
-    ``put_atomic``.  Sweep workers emit a handful of events per cell, so
-    the rewrite stays cheap; the blob doubles as the worker's liveness
-    beacon (its most recent event timestamp is the "last seen" age shown
-    by ``sweep status --telemetry``).
+
+class StorageSink:
+    """Write an event log through a ``StorageBackend`` in bounded segments.
+
+    Object stores have no append, so every flush rewrites the open segment
+    via ``put_atomic``.  The first :data:`SEGMENT_LINES` lines live at
+    *key* itself (``host-a.jsonl``), each later run of that many at
+    ``<stem>/<seq>.jsonl`` (``host-a/000001.jsonl``): a flush costs the
+    same after ten thousand events as after one.  :func:`storage_logs`
+    groups the segments back into logs.  The log doubles as a sweep
+    worker's liveness beacon (its most recent event timestamp is the "last
+    seen" age shown by ``sweep status --telemetry``).
+
+    A sink owns its log: its first write drops the segments that an
+    earlier sink of the same key left, as a rewrite of one blob would.
     """
 
     def __init__(self, backend: Any, key: str) -> None:
         self.backend = backend
         self.key = key
+        self._stem, self._suffix = os.path.splitext(key)
         self._lines: list[str] = []
+        self._segment: int | None = None  # None until the first write
+
+    def _segment_key(self) -> str:
+        if not self._segment:
+            return self.key
+        return f"{self._stem}/{self._segment:06d}{self._suffix}"
 
     def write_lines(self, lines: list[str]) -> None:
         if not lines:
             return
-        self._lines.extend(lines)
-        payload = ("\n".join(self._lines) + "\n").encode("utf-8")
-        self.backend.put_atomic(self.key, payload)
+        if self._segment is None:
+            self._segment = 0
+            for stale in self.backend.list_keys(f"{self._stem}/"):
+                self.backend.delete(stale)
+        lines = list(lines)
+        while lines:
+            if len(self._lines) >= SEGMENT_LINES:
+                self._segment += 1
+                self._lines = []
+            room = SEGMENT_LINES - len(self._lines)
+            self._lines.extend(lines[:room])
+            del lines[:room]
+            payload = ("\n".join(self._lines) + "\n").encode("utf-8")
+            self.backend.put_atomic(self._segment_key(), payload)
 
     def close(self) -> None:
         return None
@@ -141,6 +169,22 @@ class StorageSink:
 
     def describe(self) -> str:
         return f"storage:{self.key}"
+
+
+def storage_logs(backend: Any) -> dict[str, list[str]]:
+    """Map each ``.jsonl`` :class:`StorageSink` log on *backend* to its
+    segment keys, oldest first.  A log written before segmenting is one
+    segment."""
+    logs: dict[str, list[str]] = {}
+    for key in sorted(backend.list_keys()):
+        if not key.endswith(".jsonl"):
+            continue
+        stem, _, segment = key.partition("/")
+        if not segment:
+            logs.setdefault(key, []).insert(0, key)
+        elif "/" not in segment:
+            logs.setdefault(f"{stem}.jsonl", []).append(key)
+    return logs
 
 
 class _Span:

@@ -3,6 +3,7 @@ cross-worker aggregation, and the ``sweep status --telemetry`` view."""
 
 from __future__ import annotations
 
+import json
 import time
 
 from repro.cli import main
@@ -17,6 +18,7 @@ from repro.sweep import (
     submit,
     worker_loop,
 )
+from repro.telemetry import StorageSink, spans, storage_logs
 from repro.telemetry.report import parse_event_lines
 
 
@@ -26,6 +28,15 @@ def _double(value):
 
 def _boom(value):
     raise RuntimeError(f"boom {value}")
+
+
+def _fail_first(marker):
+    """Raise on the first call for *marker* (a path), succeed after."""
+    try:
+        open(marker, "x").close()
+    except FileExistsError:
+        return "ok"
+    raise RuntimeError("first attempt fails")
 
 
 def _enqueue(directory, cell):
@@ -158,3 +169,103 @@ def test_cli_sweep_status_telemetry_flag(tmp_path, capsys):
     code = main(["sweep", "status", "figure1", "--dir", str(tmp_path / "sweep")])
     assert code == 0
     assert "fleet telemetry" not in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# Segmented logs and queue wait
+# ----------------------------------------------------------------------
+def test_fleet_totals_span_segment_rolls(tmp_path, monkeypatch):
+    monkeypatch.setattr(spans, "SEGMENT_LINES", 4)
+    directory = SweepDirectory(tmp_path / "sweep")
+    for value in range(7):
+        _enqueue(directory, job(_double, value))
+    worker_loop(directory, poll_interval=0.01, worker="host-a", claim_batch=1)
+
+    storage = directory.storage.sub("telemetry")
+    logs = storage_logs(storage)
+    assert list(logs) == ["host-a.jsonl"]
+    segments = logs["host-a.jsonl"]
+    assert segments[0] == "host-a.jsonl" and segments[1] == "host-a/000001.jsonl"
+    written = [line for key in segments for line in storage.get_text(key).splitlines()]
+    # worker.start, a queue.claimed event and a sweep.cell span per cell,
+    # worker.exit: every event once, in order, across the segments.
+    assert len(written) == 2 + 2 * 7
+    assert len(segments) == -(-len(written) // 4)
+    assert all(len(storage.get_text(key).splitlines()) <= 4 for key in segments)
+    events, skipped = parse_event_lines(written)
+    assert skipped == 0
+    assert events[0]["name"] == "worker.start" and events[-1]["name"] == "worker.exit"
+
+    (telem,) = fleet_telemetry(directory)
+    assert telem.cells == 7 and telem.cell_seconds.count == 7
+    assert telem.exited
+
+
+def test_a_new_sink_replaces_the_old_log_of_its_key(tmp_path, monkeypatch):
+    monkeypatch.setattr(spans, "SEGMENT_LINES", 2)
+    storage = SweepDirectory(tmp_path / "sweep").storage.sub("telemetry")
+    StorageSink(storage, "host-a.jsonl").write_lines([f"{n}" for n in range(7)])
+    assert len(storage_logs(storage)["host-a.jsonl"]) == 4
+    StorageSink(storage, "host-a.jsonl").write_lines(["fresh"])
+    assert storage_logs(storage) == {"host-a.jsonl": ["host-a.jsonl"]}
+    assert storage.get_text("host-a.jsonl") == "fresh\n"
+
+
+def test_legacy_single_blob_log_still_parses(tmp_path, monkeypatch):
+    monkeypatch.setattr(spans, "SEGMENT_LINES", 4)
+    directory = SweepDirectory(tmp_path / "sweep")
+    lines = [
+        json.dumps({"type": "span", "name": "sweep.cell", "ts": 100.0 + n, "dur": 0.5})
+        for n in range(10)
+    ]
+    lines.append(json.dumps({"type": "event", "name": "worker.exit", "ts": 200.0}))
+    directory.storage.sub("telemetry").put_text("old-host.jsonl", "\n".join(lines) + "\n")
+    (telem,) = fleet_telemetry(directory)
+    assert telem.worker == "old-host"
+    assert telem.cells == 10 and telem.exited
+    assert telem.queue_wait_seconds.count == 0
+
+
+def test_queue_wait_on_store_record_span_and_status(tmp_path, capsys):
+    directory = SweepDirectory(tmp_path / "sweep")
+    report = submit(directory, "figure1")
+    worker_loop(directory, poll_interval=0.01, worker="host-a")
+
+    manifest = directory.load_manifest("figure1")
+    for key in manifest["keys"]:
+        meta = directory.store.record(key)["meta"]
+        assert meta["queue_wait_s"] >= 0.0
+        assert meta["enqueued_at"] <= time.time()
+    storage = directory.storage.sub("telemetry")
+    events, _ = parse_event_lines(storage.get_text("host-a.jsonl").splitlines())
+    cells = [e for e in events if e["type"] == "span" and e["name"] == "sweep.cell"]
+    assert len(cells) == report.enqueued
+    assert all(cell["attrs"]["queue_wait_s"] >= 0.0 for cell in cells)
+
+    (telem,) = fleet_telemetry(directory)
+    assert telem.queue_wait_seconds.count == report.enqueued
+    code = main(["sweep", "status", "figure1", "--dir", str(tmp_path / "sweep"), "--telemetry"])
+    assert code == 0
+    assert "queue wait p50" in capsys.readouterr().out
+
+
+def test_queue_wait_is_recorded_for_the_first_attempt_only(tmp_path):
+    """A retried task keeps its first enqueue stamp; its wait would also
+    count the failed attempt, so it records none."""
+    directory = SweepDirectory(tmp_path / "sweep")
+    cell = job(_fail_first, str(tmp_path / "marker"))
+    key = cell_key(cell)
+    directory.queue.enqueue(CellTask(key, cell, meta={"enqueued_at": time.time() - 100.0}))
+    report = worker_loop(directory, poll_interval=0.01, worker="host-a")
+    assert report.executed == 1 and report.failed == 1
+    assert "queue_wait_s" not in directory.store.record(key)["meta"]
+
+    storage = directory.storage.sub("telemetry")
+    events, _ = parse_event_lines(storage.get_text("host-a.jsonl").splitlines())
+    spans_by_attempt = {
+        e["attrs"]["attempt"]: e["attrs"]
+        for e in events
+        if e["type"] == "span" and e["name"] == "sweep.cell"
+    }
+    assert spans_by_attempt[1]["queue_wait_s"] >= 100.0
+    assert "queue_wait_s" not in spans_by_attempt[2]
